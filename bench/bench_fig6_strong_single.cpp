@@ -17,8 +17,7 @@
 #include "comm/world.hpp"
 #include "common.hpp"
 #include "par/ampi.hpp"
-#include "par/baseline.hpp"
-#include "par/diffusion.hpp"
+#include "par/block.hpp"
 #include "util/cli.hpp"
 
 namespace {
@@ -83,15 +82,16 @@ void run_real() {
   cfg.init.distribution = pic::Geometric{0.99};
   cfg.steps = 200;
   cfg.sample_every = 10;
+  cfg.lb.every = 0;  // baseline: static bounds
 
   par::DriverResult base, diff;
   comm::World world(4);
   world.run([&](comm::Comm& comm) {
-    const auto b = par::run_baseline(comm, cfg);
+    const auto b = par::run_block(comm, cfg);
     par::RunConfig dcfg = cfg;
     dcfg.lb.strategy = "diffusion:threshold=0.05,border=2";
     dcfg.lb.every = 8;
-    const auto d = par::run_diffusion(comm, dcfg);
+    const auto d = par::run_block(comm, dcfg);
     if (comm.rank() == 0) {
       base = b;
       diff = d;

@@ -16,7 +16,7 @@
 #include "comm/world.hpp"
 #include "lb/registry.hpp"
 #include "par/ampi.hpp"
-#include "par/diffusion.hpp"
+#include "par/block.hpp"
 #include "util/cli.hpp"
 #include "util/table.hpp"
 
@@ -58,7 +58,7 @@ par::DriverResult run_bounds(const par::RunConfig& cfg) {
   par::DriverResult result;
   comm::World world(cfg.ranks);
   world.run([&](comm::Comm& comm) {
-    const auto r = par::run_diffusion(comm, cfg);
+    const auto r = par::run_block(comm, cfg);
     if (comm.rank() == 0) result = r;
   });
   return result;

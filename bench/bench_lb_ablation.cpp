@@ -11,8 +11,7 @@
 
 #include "comm/world.hpp"
 #include "common.hpp"
-#include "par/baseline.hpp"
-#include "par/diffusion.hpp"
+#include "par/block.hpp"
 #include "par/irregular.hpp"
 #include "util/cli.hpp"
 
@@ -105,18 +104,19 @@ void two_phase_ablation() {
   cfg.init.distribution = pic::Patch{pic::CellRegion{0, 40, 0, 40}};
   cfg.steps = 200;
   cfg.sample_every = 10;
+  cfg.lb.every = 0;  // baseline: static bounds
 
   par::DriverResult base, xonly, both;
   comm::World world(4);
   world.run([&](comm::Comm& comm) {
-    const auto b = par::run_baseline(comm, cfg);
+    const auto b = par::run_block(comm, cfg);
     par::RunConfig xcfg = cfg;
     xcfg.lb.strategy = "diffusion:threshold=0.05,border=2";
     xcfg.lb.every = 8;
-    const auto x = par::run_diffusion(comm, xcfg);
+    const auto x = par::run_block(comm, xcfg);
     par::RunConfig xycfg = xcfg;
     xycfg.lb.strategy = "diffusion:threshold=0.05,border=2,two_phase=1";
-    const auto xy = par::run_diffusion(comm, xycfg);
+    const auto xy = par::run_block(comm, xycfg);
     if (comm.rank() == 0) {
       base = b;
       xonly = x;
@@ -162,7 +162,7 @@ void irregular_vs_rectangular() {
     par::RunConfig dcfg = cfg;
     dcfg.lb.strategy = "diffusion:threshold=0.05,border=4";
     dcfg.lb.every = 4;
-    const auto r = par::run_diffusion(comm, dcfg);
+    const auto r = par::run_block(comm, dcfg);
     par::IrregularParams ip;
     ip.frequency = 4;
     ip.threshold = 0.05;

@@ -14,7 +14,7 @@
 #include "obs/phase.hpp"
 #include "obs/registry.hpp"
 #include "obs/sinks.hpp"
-#include "par/baseline.hpp"
+#include "par/block.hpp"
 #include "util/cli.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
@@ -36,7 +36,8 @@ int main(int argc, char** argv) {
   const int ranks = static_cast<int>(args.get_int("ranks"));
   const int reps = smoke ? 2 : static_cast<int>(args.get_int("reps"));
 
-  par::DriverConfig base_cfg;
+  par::RunConfig base_cfg;
+  base_cfg.lb.every = 0;  // baseline: static bounds
   base_cfg.init.grid = pic::GridSpec(smoke ? 24 : args.get_int("cells"), 1.0);
   base_cfg.init.total_particles =
       static_cast<std::uint64_t>(smoke ? 20000 : args.get_int("particles"));
@@ -46,14 +47,14 @@ int main(int argc, char** argv) {
   // One run, returning the driver-reported stepping-loop seconds (max
   // over ranks — the same figure the CLI prints).
   const auto run_once = [&](const obs::Hooks& hooks, std::uint32_t sample_every) {
-    par::DriverConfig cfg = base_cfg;
+    par::RunConfig cfg = base_cfg;
     cfg.obs = hooks;
     cfg.sample_every = sample_every;
     double seconds = 0.0;
     bool ok = false;
     comm::World world(ranks);
     world.run([&](comm::Comm& comm) {
-      const par::DriverResult r = par::run_baseline(comm, cfg);
+      const par::DriverResult r = par::run_block(comm, cfg);
       if (comm.rank() == 0) {
         seconds = r.seconds;
         ok = r.ok;

@@ -33,7 +33,7 @@
 #include "obs/registry.hpp"
 #include "obs/sinks.hpp"
 #include "par/async.hpp"
-#include "par/baseline.hpp"
+#include "par/block.hpp"
 #include "par/run_config.hpp"
 #include "util/cli.hpp"
 #include "util/table.hpp"
@@ -78,12 +78,16 @@ int main(int argc, char** argv) {
   cfg.lb.strategy = "steal";
   cfg.lb.every = 4;  // flatten early, then amortise the quiet-point cost
 
+  // The sync leg is the baseline: the block driver with static bounds.
+  par::RunConfig sync_cfg = cfg;
+  sync_cfg.lb.strategy.clear();
+  sync_cfg.lb.every = 0;
   const auto sync_once = [&] {
     double seconds = 0.0;
     bool ok = false;
     comm::World world(ranks);
     world.run([&](comm::Comm& comm) {
-      const par::DriverResult r = par::run_baseline(comm, cfg);
+      const par::DriverResult r = par::run_block(comm, sync_cfg);
       if (comm.rank() == 0) {
         seconds = r.seconds;
         ok = r.ok;

@@ -21,7 +21,7 @@
 #include <vector>
 
 #include "bench_json.hpp"
-#include "par/baseline.hpp"
+#include "par/block.hpp"
 #include "par/resilient.hpp"
 #include "util/cli.hpp"
 #include "util/stats.hpp"
@@ -39,6 +39,7 @@ par::RunConfig make_config(std::int64_t cells, std::uint64_t particles,
   cfg.init.total_particles = particles;
   cfg.init.distribution = pic::Geometric{0.99};
   cfg.steps = steps;
+  cfg.lb.every = 0;  // baseline: static bounds
   return cfg;
 }
 
@@ -48,12 +49,7 @@ par::DriverResult run_once(int ranks, const par::RunConfig& cfg,
   par::RunConfig run = cfg;
   run.ranks = ranks;
   run.resilience = opts;
-  return par::run_resilient(
-      run,
-      [](comm::Comm& comm, const par::RunConfig& rc) {
-        return par::run_baseline(comm, rc);
-      },
-      telemetry);
+  return par::run_resilient(run, &par::run_block, telemetry);
 }
 
 void checkpoint_overhead(int ranks, const par::RunConfig& cfg) {

@@ -9,10 +9,8 @@
 //   ./injection_burst --ranks 4 --burst 80000
 #include <iostream>
 
-#include "comm/world.hpp"
 #include "par/ampi.hpp"
-#include "par/baseline.hpp"
-#include "par/diffusion.hpp"
+#include "par/engine.hpp"
 #include "util/cli.hpp"
 #include "util/table.hpp"
 
@@ -77,23 +75,17 @@ int main(int argc, char** argv) {
                            static_cast<std::uint64_t>(args.get_int("burst"))}},
       {pic::RemovalEvent{steps * 7 / 8, pic::CellRegion{0, cells, 0, cells / 4}, 0.3}});
 
-  const int ranks = static_cast<int>(args.get_int("ranks"));
+  cfg.ranks = static_cast<int>(args.get_int("ranks"));
   const std::size_t burst_sample = (steps / 2) / cfg.sample_every;
 
-  par::DriverResult base, diff;
-  comm::World world(ranks);
-  world.run([&](comm::Comm& comm) {
-    const auto b = par::run_baseline(comm, cfg);
-    par::RunConfig dcfg = cfg;
-    // The burst region is skewed in both directions: two-phase diffusion.
-    dcfg.lb.strategy = "diffusion:threshold=0.05,border=2,two_phase=1";
-    dcfg.lb.every = 4;
-    const auto d = par::run_diffusion(comm, dcfg);
-    if (comm.rank() == 0) {
-      base = b;
-      diff = d;
-    }
-  });
+  cfg.impl = "baseline";
+  const par::DriverResult base = par::make_engine(cfg)->run().result;
+  par::RunConfig dcfg = cfg;
+  dcfg.impl = "diffusion";
+  // The burst region is skewed in both directions: two-phase diffusion.
+  dcfg.lb.strategy = "diffusion:threshold=0.05,border=2,two_phase=1";
+  dcfg.lb.every = 4;
+  const par::DriverResult diff = par::make_engine(dcfg)->run().result;
 
   par::RunConfig acfg = cfg;
   acfg.workers = 2;

@@ -3,14 +3,13 @@
 // Sets up the canonical configuration — an L×L periodic mesh with
 // alternating column charges, particles whose Eq.-3 charge makes them hop
 // exactly (2k+1) cells per step — runs the simulation serially and with
-// the baseline parallel driver, and verifies both against the closed
+// the baseline parallel engine, and verifies both against the closed
 // form (Eqs. 5–6) and the id checksum.
 //
 //   ./quickstart --cells 200 --particles 100000 --steps 200 --ranks 4
 #include <iostream>
 
-#include "comm/world.hpp"
-#include "par/baseline.hpp"
+#include "par/engine.hpp"
 #include "pic/simulation.hpp"
 #include "util/cli.hpp"
 
@@ -42,16 +41,13 @@ int main(int argc, char** argv) {
             << (serial.ok() ? "VERIFIED" : "FAILED")
             << " (max position error " << serial.verification.max_position_error << ")\n";
 
-  // --- parallel (threadcomm baseline driver) -------------------------------
-  par::DriverConfig driver;
-  driver.init = config.init;
-  driver.steps = config.steps;
-  par::DriverResult parallel;
-  comm::World world(static_cast<int>(args.get_int("ranks")));
-  world.run([&](comm::Comm& comm) {
-    const auto r = par::run_baseline(comm, driver);
-    if (comm.rank() == 0) parallel = r;
-  });
+  // --- parallel (threadcomm baseline engine) -------------------------------
+  par::RunConfig run;
+  run.impl = "baseline";
+  run.ranks = static_cast<int>(args.get_int("ranks"));
+  run.init = config.init;
+  run.steps = config.steps;
+  const par::DriverResult parallel = par::make_engine(run)->run().result;
   std::cout << "parallel: " << parallel.final_particles << " particles on "
             << args.get_int("ranks") << " ranks in " << parallel.seconds << " s — "
             << (parallel.ok ? "VERIFIED" : "FAILED") << " ("

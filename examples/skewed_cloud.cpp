@@ -9,10 +9,8 @@
 //   ./skewed_cloud --ranks 4 --r 0.98 --steps 300
 #include <iostream>
 
-#include "comm/world.hpp"
 #include "par/ampi.hpp"
-#include "par/baseline.hpp"
-#include "par/diffusion.hpp"
+#include "par/engine.hpp"
 #include "util/cli.hpp"
 #include "util/table.hpp"
 
@@ -56,22 +54,17 @@ int main(int argc, char** argv) {
   cfg.sample_every = std::max(1u, cfg.steps / 50);
 
   const int ranks = static_cast<int>(args.get_int("ranks"));
+  cfg.ranks = ranks;
 
-  par::DriverResult base, diff;
-  comm::World world(ranks);
-  world.run([&](comm::Comm& comm) {
-    const auto b = par::run_baseline(comm, cfg);
-    par::RunConfig dcfg = cfg;
-    dcfg.lb.every = static_cast<std::uint32_t>(args.get_int("lb-frequency"));
-    dcfg.lb.strategy = "diffusion:threshold=" +
-                       std::to_string(args.get_double("lb-threshold")) +
-                       ",border=" + std::to_string(args.get_int("lb-border"));
-    const auto d = par::run_diffusion(comm, dcfg);
-    if (comm.rank() == 0) {
-      base = b;
-      diff = d;
-    }
-  });
+  cfg.impl = "baseline";
+  const par::DriverResult base = par::make_engine(cfg)->run().result;
+  par::RunConfig dcfg = cfg;
+  dcfg.impl = "diffusion";
+  dcfg.lb.every = static_cast<std::uint32_t>(args.get_int("lb-frequency"));
+  dcfg.lb.strategy = "diffusion:threshold=" +
+                     std::to_string(args.get_double("lb-threshold")) +
+                     ",border=" + std::to_string(args.get_int("lb-border"));
+  const par::DriverResult diff = par::make_engine(dcfg)->run().result;
 
   par::RunConfig acfg = cfg;
   acfg.workers = std::max(1, ranks / 2);  // 2 hardware threads per worker here

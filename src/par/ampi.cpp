@@ -5,9 +5,9 @@
 #include "ft/checkpoint.hpp"
 #include "ft/fault.hpp"
 #include "par/pic_vp.hpp"
+#include "par/resilient.hpp"
 #include "util/assert.hpp"
 #include "util/timer.hpp"
-#include "vpr/pup.hpp"
 #include "vpr/runtime.hpp"
 
 namespace picprk::par {
@@ -64,58 +64,34 @@ DriverResult run_ampi(const RunConfig& config) {
     if (checkpointing && step % cadence == 0) {
       obs::Phase phase(obs::kPhaseCheckpoint, &checkpoint_seconds, inst.lane,
                        inst.checkpoint);
-      // Double in-memory checkpoint per VP: primary + buddy copy, both
-      // keyed by the VP id (the "rank" of this driver).
-      for (int v = 0; v < vps; ++v) {
-        std::vector<std::byte> packed = vpr::pup_pack(runtime.vp(v));
-        checkpoint_bytes += 2 * packed.size();
-        config.ft.store->save_buddy(v, step, packed);
-        config.ft.store->save(v, step, std::move(packed));
-      }
+      checkpoint_bytes += checkpoint_vps(runtime, *config.ft.store, step);
       ++checkpoint_rounds;
     }
     try {
       runtime.run(1);
     } catch (const ft::RankKilled& e) {
       if (!checkpointing) throw;
+      // Only buddy copies survive the dead VP's memory. In local mode the
+      // killed VP's host worker dies with everything it ran, so every
+      // co-located VP loses its primary too.
+      const int dead_worker = runtime.worker_of(e.rank());
+      for (int v = 0; v < vps; ++v) {
+        if (local_mode ? runtime.worker_of(v) == dead_worker : v == e.rank()) {
+          config.ft.store->drop_primary(v);
+        }
+      }
+      std::uint32_t& attempts = local_mode ? localized : recoveries;
+      const auto consistent = config.ft.store->consistent_step(vps);
+      if (!consistent || attempts >= kMaxVpRecoveries) throw;
+      restore_vps(runtime, *config.ft.store, *consistent);
       if (local_mode) {
-        // The killed VP's host worker dies with everything it ran: drop
-        // the primary of every co-located VP (only buddy copies survive).
-        const int dead_worker = runtime.worker_of(e.rank());
-        for (int v = 0; v < vps; ++v) {
-          if (runtime.worker_of(v) == dead_worker) config.ft.store->drop_primary(v);
-        }
-        const auto consistent = config.ft.store->consistent_step(vps);
-        if (!consistent || localized >= kMaxVpRecoveries) throw;
-        runtime.rewind(*consistent);
-        for (int v = 0; v < vps; ++v) {
-          auto bytes = config.ft.store->load(v, *consistent);
-          PICPRK_ASSERT_MSG(bytes.has_value(),
-                            "consistent checkpoint is missing a vp snapshot");
-          vpr::pup_unpack(runtime.vp(v), std::move(*bytes));
-        }
         // Shrink the live set; the dead worker's VPs evacuate through
         // the balancer's degraded plan before the next superstep.
         runtime.retire_worker(dead_worker);
         replayed += step - *consistent;
-        step = *consistent;
-        ++localized;
-        continue;
-      }
-      config.ft.store->drop_primary(e.rank());
-      const auto consistent = config.ft.store->consistent_step(vps);
-      if (!consistent || recoveries >= kMaxVpRecoveries) throw;
-      // In-process rollback: rewind the superstep clock, discard pending
-      // messages, and rebuild every VP from its surviving snapshot copy.
-      runtime.rewind(*consistent);
-      for (int v = 0; v < vps; ++v) {
-        auto bytes = config.ft.store->load(v, *consistent);
-        PICPRK_ASSERT_MSG(bytes.has_value(),
-                          "consistent checkpoint is missing a vp snapshot");
-        vpr::pup_unpack(runtime.vp(v), std::move(*bytes));
       }
       step = *consistent;
-      ++recoveries;
+      ++attempts;
       continue;
     }
     if (config.sample_every > 0 && step % config.sample_every == 0) {

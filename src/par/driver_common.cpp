@@ -109,12 +109,12 @@ obs::StepSample sample_step_telemetry(comm::Comm& comm, int step,
   return s;
 }
 
-void finalize_result(comm::Comm& comm, const DriverConfig& config,
-                     const pic::VerifyResult& local_verify, const EventTracker& tracker,
-                     std::uint64_t local_particles, double local_seconds,
-                     const PhaseBreakdown& local_phases, std::uint64_t local_sent,
-                     std::uint64_t local_bytes, std::uint64_t local_lb_actions,
-                     std::uint64_t local_lb_bytes, DriverResult& result) {
+void finalize_result(comm::Comm& comm, const pic::VerifyResult& local_verify,
+                     const EventTracker& tracker, std::uint64_t local_particles,
+                     double local_seconds, const PhaseBreakdown& local_phases,
+                     std::uint64_t local_sent, std::uint64_t local_bytes,
+                     std::uint64_t local_lb_actions, std::uint64_t local_lb_bytes,
+                     DriverResult& result) {
   result.verification = merge_verification(comm, local_verify);
   result.expected_id_checksum = tracker.finalize(comm);
   result.ok = result.verification.ok(result.expected_id_checksum);
@@ -152,7 +152,6 @@ void finalize_result(comm::Comm& comm, const DriverConfig& config,
   result.exchange_bytes = merged.bytes;
   result.lb_actions = merged.lb_actions;
   result.lb_bytes = merged.lb_bytes;
-  (void)config;
 }
 
 }  // namespace picprk::par

@@ -1,8 +1,8 @@
 // Shared scaffolding of the parallel PIC drivers: configuration, result
-// records, event bookkeeping and verification merging. The three drivers
-// (baseline, diffusion-LB, ampi/vpr) share these so that their outputs
-// are directly comparable — the essence of using the PRK as a measuring
-// instrument.
+// records, event bookkeeping and verification merging. The parallel
+// drivers (block for baseline and diffusion-LB, ampi/vpr, async) share
+// these so that their outputs are directly comparable — the essence of
+// using the PRK as a measuring instrument.
 #pragma once
 
 #include <cstdint>
@@ -27,10 +27,6 @@ struct DriverConfig {
   /// When > 0, sample the global load imbalance (max/mean particles per
   /// rank) every this many steps into DriverResult::imbalance_series.
   std::uint32_t sample_every = 0;
-  /// Hybrid mode: parallelise each rank's move loop with its own OpenMP
-  /// team (the message-passing × threads configuration of the official
-  /// PRK's MPI+OpenMP variants). Results are bit-identical.
-  bool omp_mover = false;
   /// Fault-tolerance hooks: injector, checkpoint cadence, resume flag.
   /// All defaulted = legacy behaviour at the cost of one branch per step.
   ft::FtOptions ft;
@@ -136,11 +132,11 @@ obs::StepSample sample_step_telemetry(comm::Comm& comm, int step,
 /// Reduces per-rank scalar maxima/sums into a DriverResult (collective).
 /// `local_*` are this rank's totals; the result is identical on every
 /// rank.
-void finalize_result(comm::Comm& comm, const DriverConfig& config,
-                     const pic::VerifyResult& local_verify, const EventTracker& tracker,
-                     std::uint64_t local_particles, double local_seconds,
-                     const PhaseBreakdown& local_phases, std::uint64_t local_sent,
-                     std::uint64_t local_bytes, std::uint64_t local_lb_actions,
-                     std::uint64_t local_lb_bytes, DriverResult& result);
+void finalize_result(comm::Comm& comm, const pic::VerifyResult& local_verify,
+                     const EventTracker& tracker, std::uint64_t local_particles,
+                     double local_seconds, const PhaseBreakdown& local_phases,
+                     std::uint64_t local_sent, std::uint64_t local_bytes,
+                     std::uint64_t local_lb_actions, std::uint64_t local_lb_bytes,
+                     DriverResult& result);
 
 }  // namespace picprk::par

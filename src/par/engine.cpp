@@ -9,8 +9,7 @@
 #include "obs/registry.hpp"
 #include "par/ampi.hpp"
 #include "par/async.hpp"
-#include "par/baseline.hpp"
-#include "par/diffusion.hpp"
+#include "par/block.hpp"
 #include "pic/simulation.hpp"
 #include "util/report.hpp"
 #include "util/table.hpp"
@@ -42,7 +41,7 @@ class SerialEngine final : public Engine {
     cfg.steps = config_.steps;
     cfg.events = config_.events;
     cfg.verify_epsilon = config_.verify_epsilon;
-    const pic::SimulationResult r = pic::run_serial(cfg, config_.omp_mover);
+    const pic::SimulationResult r = pic::run_serial(cfg);
 
     RunReport report;
     report.impl = name_;
@@ -55,19 +54,20 @@ class SerialEngine final : public Engine {
   }
 };
 
-/// baseline / diffusion: a threadcomm world per run, optionally wrapped
-/// in the run_resilient recovery loop when any resilience knob is set.
+/// baseline / diffusion: the block driver on a threadcomm world per run,
+/// optionally wrapped in the run_resilient recovery loop when any
+/// resilience knob is set.
 class WorldEngine final : public Engine {
  public:
-  WorldEngine(std::string name, RunConfig config, DriverFn driver)
-      : Engine(std::move(name), std::move(config)), driver_(std::move(driver)) {}
+  WorldEngine(std::string name, RunConfig config)
+      : Engine(std::move(name), std::move(config)) {}
 
   RunReport run() override {
     RunReport report;
     report.impl = name_;
     if (config_.resilience.active()) {
       report.ft_telemetry = true;
-      report.result = run_resilient(config_, driver_, &report.ft);
+      report.result = run_resilient(config_, &run_block, &report.ft);
       // "ft/rollbacks", "ft/localized_recoveries" and "ft/replayed_steps"
       // are registered by run_resilient itself on config_.obs.registry.
       if (obs::Registry* reg = config_.obs.registry) {
@@ -85,16 +85,13 @@ class WorldEngine final : public Engine {
     } else {
       comm::World world(config_.ranks);
       world.run([&](comm::Comm& comm) {
-        DriverResult r = driver_(comm, config_);
+        DriverResult r = run_block(comm, config_);
         if (comm.rank() == 0) report.result = r;
       });
     }
     absorb(report.result);
     return report;
   }
-
- private:
-  DriverFn driver_;
 };
 
 /// ampi/vpr: no World, so the fault injector and checkpoint store are
@@ -223,11 +220,16 @@ std::unique_ptr<Engine> make_engine(RunConfig config) {
   const std::string impl = config.impl;
   if (impl == "serial") return std::make_unique<SerialEngine>(std::move(config));
   if (impl == "baseline" || impl == "diffusion") {
-    DriverFn driver = impl == "baseline"
-                          ? DriverFn(&run_baseline)
-                          : DriverFn(&run_diffusion);
-    return std::make_unique<WorldEngine>(impl, std::move(config),
-                                         std::move(driver));
+    if (impl == "baseline") {
+      // Baseline is the block driver with its bounds left static.
+      if (!config.lb.strategy.empty()) {
+        throw std::invalid_argument("baseline has no load balancer (got '" +
+                                    config.lb.strategy +
+                                    "'); use --impl diffusion to balance");
+      }
+      config.lb.every = 0;
+    }
+    return std::make_unique<WorldEngine>(impl, std::move(config));
   }
   if (impl == "ampi") return std::make_unique<AmpiEngine>(std::move(config));
   if (impl == "async") return std::make_unique<AsyncEngine>(std::move(config));

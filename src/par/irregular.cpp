@@ -193,7 +193,7 @@ IrregularResult run_irregular(comm::Comm& comm, const DriverConfig& config,
   const pic::VerifyResult local_verify =
       verify_particles(std::span<const pic::Particle>(particles), grid, config.steps,
                        config.verify_epsilon);
-  finalize_result(comm, config, local_verify, tracker, particles.size(), seconds,
+  finalize_result(comm, local_verify, tracker, particles.size(), seconds,
                   PhaseBreakdown{compute_timer.total(), exchange_timer.total(),
                                  lb_timer.total()},
                   sent, bytes, lb_actions,

@@ -1,10 +1,12 @@
-// Driver-level checkpoint/recovery for the threadcomm drivers
-// (docs/RESILIENCE.md). A DriverSnapshot is the complete per-rank state
-// of the stepping loop at the start of a step; checkpoint_exchange()
+// Driver-level checkpoint/recovery (docs/RESILIENCE.md). For the
+// threadcomm drivers a DriverSnapshot is the complete per-rank state of
+// the stepping loop at the start of a step; checkpoint_exchange()
 // buddy-replicates it (primary copy in the rank's own store slot, one
 // copy shipped to rank+1 mod P), and run_resilient() re-runs a driver
 // through a fresh World after an injected failure, rolling every rank
-// back to the store's last consistent checkpoint.
+// back to the store's last consistent checkpoint. For the VP hosts
+// (run_ampi, svc::Job) checkpoint_vps()/restore_vps() are the one
+// save/rollback pair over a vpr::Runtime.
 #pragma once
 
 #include <cstdint>
@@ -19,6 +21,10 @@
 #include "par/run_config.hpp"
 #include "pic/particle.hpp"
 #include "vpr/pup.hpp"
+
+namespace picprk::vpr {
+class Runtime;
+}  // namespace picprk::vpr
 
 namespace picprk::par {
 
@@ -58,6 +64,19 @@ std::uint64_t checkpoint_exchange(comm::Comm& comm, ft::CheckpointStore& store,
 /// store has no consistent line or no copy survived for this rank.
 std::optional<DriverSnapshot> restore_snapshot(int rank, int slots,
                                                const ft::CheckpointStore& store);
+
+/// Double in-memory checkpoint of every VP of `runtime` at `step`:
+/// primary and buddy copy, both keyed by the VP id (the "rank" of a VP
+/// host). Returns the bytes stored.
+std::uint64_t checkpoint_vps(vpr::Runtime& runtime, ft::CheckpointStore& store,
+                             std::uint32_t step);
+
+/// In-process rollback to `step`: rewinds the superstep clock (pending
+/// messages are discarded) and rebuilds every VP from its surviving
+/// snapshot copy. `step` must be a consistent step of `store` over all
+/// VPs.
+void restore_vps(vpr::Runtime& runtime, const ft::CheckpointStore& store,
+                 std::uint32_t step);
 
 // ResilienceOptions lives in par/run_config.hpp (a RunConfig fully
 // describes a resilient run).

@@ -16,7 +16,6 @@
 #include <string>
 #include <vector>
 
-#include "par/diffusion.hpp"
 #include "perfsim/machine.hpp"
 #include "perfsim/workload.hpp"
 

@@ -9,7 +9,6 @@
 
 #include <cstdint>
 
-#include "par/diffusion.hpp"
 #include "perfsim/engine.hpp"
 #include "perfsim/workload2d.hpp"
 

@@ -13,7 +13,7 @@
 // on x86, so this is the bound that matters). The four corner charges
 // come from a single `corners(cx, cy)` lookup when the charge source
 // supports it (one parity test for the alternating-column pattern, one
-// bounds check for a slab). All movers — serial, OpenMP, SoA — route
+// bounds check for a slab). The AoS and SoA movers route
 // through the same inlined per-particle kernel, so results are
 // bit-identical across layouts within a build. The pre-optimization
 // kernel is preserved in namespace `reference` for equivalence tests and
@@ -126,7 +126,7 @@ PICPRK_HOT inline void advance(Particle& p, const Force& f, const GridSpec& grid
 }
 
 /// The fused per-particle inner kernel on bare scalars: force + advance.
-/// Every mover (AoS, OpenMP, SoA) routes through this one body, so the
+/// The AoS and SoA movers route through this one body, so the
 /// layouts stay bit-identical within a build.
 template <typename Charges>
 PICPRK_HOT inline void move_scalars(double& x, double& y, double& vx, double& vy, double q,
@@ -161,24 +161,6 @@ template <typename Charges>
 void move_all(std::span<Particle> particles, const GridSpec& grid,
               const Charges& charges, double dt) {
   for (Particle& p : particles) move_particle(p, grid, charges, dt);
-}
-
-/// AoS mover with an OpenMP-parallel loop: the per-rank thread team of a
-/// hybrid (message-passing × threads) configuration. Static scheduling
-/// is fine here — every particle costs the same, so shared-memory
-/// imbalance cannot arise from a flat particle array (which is exactly
-/// why the PRK's load-balancing problem is a distributed-memory one).
-/// Like move_all, retained as a compatibility/oracle path.
-template <typename Charges>
-void move_all_omp(std::span<Particle> particles, const GridSpec& grid,
-                  const Charges& charges, double dt) {
-  const auto n = static_cast<std::int64_t>(particles.size());
-#if defined(PICPRK_HAVE_OPENMP)
-#pragma omp parallel for schedule(static)
-#endif
-  for (std::int64_t i = 0; i < n; ++i) {
-    move_particle(particles[static_cast<std::size_t>(i)], grid, charges, dt);
-  }
 }
 
 /// Structure-of-arrays mover: the vectorized fast path. Iterations are

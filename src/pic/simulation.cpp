@@ -1,6 +1,5 @@
 #include "pic/simulation.hpp"
 
-#include "pic/tiling.hpp"
 #include "util/log.hpp"
 #include "util/timer.hpp"
 
@@ -11,7 +10,7 @@ void serial_step(std::vector<Particle>& particles, const GridSpec& grid,
   move_all(std::span<Particle>(particles), grid, charges, dt);
 }
 
-SimulationResult run_serial(const SimulationConfig& config, bool use_soa) {
+SimulationResult run_serial(const SimulationConfig& config) {
   const Initializer init(config.init);
   const GridSpec& grid = config.init.grid;
   const AlternatingColumnCharges charges(config.init.mesh_q);
@@ -25,19 +24,9 @@ SimulationResult run_serial(const SimulationConfig& config, bool use_soa) {
   SimulationResult result;
   util::Timer timer;
 
-  // SoA mode keeps the store and its tile index alive across the whole
-  // run; the AoS form only reappears for event staging and verification.
-  ParticleSoA soa;
-  TileIndex tiles(CellRegion{0, grid.cells, 0, grid.cells});
-  if (use_soa) {
-    soa = to_soa(particles);
-    particles.clear();
-  }
-
   const bool has_events = !config.events.empty();
   for (std::uint32_t step = 0; step < config.steps; ++step) {
     if (has_events && config.events.scheduled_at(step)) {
-      if (use_soa) particles = to_aos(soa);
       // Track the expected checksum through population changes: removals
       // subtract the ids they take out, injections add a known id range.
       for (std::size_t e = 0; e < config.events.removals().size(); ++e) {
@@ -59,20 +48,9 @@ SimulationResult run_serial(const SimulationConfig& config, bool use_soa) {
         expected_sum += count * first + count * (count - 1) / 2;
       }
       config.events.apply_step(init, step, 0, grid.cells, 0, grid.cells, particles);
-      if (use_soa) {
-        soa.assign(particles);
-        tiles.mark_dirty();
-        particles.clear();
-      }
     }
-
-    if (use_soa) {
-      move_all_tiled(soa, tiles, grid, charges, dt);
-    } else {
-      serial_step(particles, grid, charges, dt);
-    }
+    serial_step(particles, grid, charges, dt);
   }
-  if (use_soa) particles = to_aos(soa);
 
   result.seconds = timer.elapsed();
   result.final_particles = particles.size();

@@ -33,9 +33,8 @@ struct SimulationResult {
   bool ok() const { return verification.ok(expected_id_checksum); }
 };
 
-/// Runs the serial simulation. When `use_soa` is true the SoA/OpenMP
-/// mover is used (the shared-memory reference); results are identical.
-SimulationResult run_serial(const SimulationConfig& config, bool use_soa = false);
+/// Runs the serial simulation on the scalar AoS mover.
+SimulationResult run_serial(const SimulationConfig& config);
 
 /// One serial time step over a particle vector — exposed so tests can
 /// inspect intermediate states.

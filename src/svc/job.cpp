@@ -3,10 +3,10 @@
 #include <algorithm>
 #include <span>
 
+#include "par/resilient.hpp"
 #include "pic/init.hpp"
 #include "util/assert.hpp"
 #include "util/timer.hpp"
-#include "vpr/pup.hpp"
 
 namespace picprk::svc {
 
@@ -72,25 +72,10 @@ Job::Job(int id, JobSpec spec) : id_(id), spec_(std::move(spec)) {
   step_hist_ = &registry_.register_histogram("svc/step_seconds", 0.0, 0.02, 200);
 }
 
-void Job::checkpoint_all(std::uint32_t step) {
-  const int vps = runtime_->vps();
-  for (int v = 0; v < vps; ++v) {
-    std::vector<std::byte> packed = vpr::pup_pack(runtime_->vp(v));
-    store_->save_buddy(v, step, packed);
-    store_->save(v, step, std::move(packed));
-  }
-}
-
 bool Job::recover() {
-  const int vps = runtime_->vps();
-  const auto consistent = store_->consistent_step(vps);
+  const auto consistent = store_->consistent_step(runtime_->vps());
   if (!consistent || recoveries_ >= kMaxRecoveries) return false;
-  runtime_->rewind(*consistent);
-  for (int v = 0; v < vps; ++v) {
-    auto bytes = store_->load(v, *consistent);
-    if (!bytes) return false;
-    vpr::pup_unpack(runtime_->vp(v), std::move(*bytes));
-  }
+  par::restore_vps(*runtime_, *store_, *consistent);
   steps_done_ = *consistent;
   ++recoveries_;
   return true;
@@ -123,7 +108,7 @@ void Job::advance(std::uint32_t n) {
   try {
     while (executed < n && steps_done_ < spec_.run.steps) {
       if (checkpointing && steps_done_ % spec_.checkpoint_every == 0) {
-        checkpoint_all(steps_done_);
+        par::checkpoint_vps(*runtime_, *store_, steps_done_);
       }
       util::Timer step_timer;
       try {

@@ -98,7 +98,6 @@ class Job {
   util::JsonObject config_json() const;
 
  private:
-  void checkpoint_all(std::uint32_t step);
   /// Rollback to the newest consistent checkpoint; false = unrecoverable.
   bool recover();
   void sample(std::uint32_t step);

@@ -14,8 +14,7 @@
 #include "ft/fault.hpp"
 #include "obs/registry.hpp"
 #include "par/ampi.hpp"
-#include "par/baseline.hpp"
-#include "par/diffusion.hpp"
+#include "par/block.hpp"
 #include "par/resilient.hpp"
 
 namespace {
@@ -43,12 +42,13 @@ par::RunConfig with_local_kill(par::RunConfig cfg, int rank, std::uint32_t step)
   return cfg;
 }
 
+/// Baseline: the block driver with its bounds left static.
 const par::DriverFn kBaseline = [](comm::Comm& comm, const par::RunConfig& rc) {
-  return par::run_baseline(comm, rc);
+  par::RunConfig baseline = rc;
+  baseline.lb.every = 0;
+  return par::run_block(comm, baseline);
 };
-const par::DriverFn kDiffusion = [](comm::Comm& comm, const par::RunConfig& rc) {
-  return par::run_diffusion(comm, rc);
-};
+const par::DriverFn kDiffusion = &par::run_block;
 
 TEST(Localized, SingleKillAcrossAllFiveDistributions) {
   struct Named {

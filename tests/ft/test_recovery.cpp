@@ -9,8 +9,7 @@
 #include "comm/comm.hpp"
 #include "ft/fault.hpp"
 #include "par/ampi.hpp"
-#include "par/baseline.hpp"
-#include "par/diffusion.hpp"
+#include "par/block.hpp"
 #include "par/resilient.hpp"
 
 namespace {
@@ -35,8 +34,11 @@ par::RunConfig with_kill(par::RunConfig cfg, int rank, std::uint32_t step,
   return cfg;
 }
 
+/// Baseline: the block driver with its bounds left static.
 const par::DriverFn kBaseline = [](comm::Comm& comm, const par::RunConfig& rc) {
-  return par::run_baseline(comm, rc);
+  par::RunConfig baseline = rc;
+  baseline.lb.every = 0;
+  return par::run_block(comm, baseline);
 };
 
 TEST(Recovery, BaselineSurvivesRankDeath) {
@@ -73,10 +75,7 @@ TEST(Recovery, DiffusionSurvivesRankDeath) {
   auto cfg = with_kill(small_config(), 1, 27);
   cfg.ranks = 4;
   cfg.lb.every = 6;
-  const auto result = par::run_resilient(
-      cfg, [](comm::Comm& comm, const par::RunConfig& rc) {
-        return par::run_diffusion(comm, rc);
-      });
+  const auto result = par::run_resilient(cfg, &par::run_block);
   EXPECT_TRUE(result.ok);
   EXPECT_EQ(result.verification.id_checksum, result.expected_id_checksum);
   EXPECT_EQ(result.recoveries, 1u);

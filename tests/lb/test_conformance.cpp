@@ -22,7 +22,7 @@
 #include "lb/registry.hpp"
 #include "lb/strategy.hpp"
 #include "par/ampi.hpp"
-#include "par/diffusion.hpp"
+#include "par/block.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -85,7 +85,7 @@ void check_bounds_strategy(const std::string& spec, int kind) {
   cfg.lb.strategy = spec;
   World world(4);
   world.run([&](Comm& comm) {
-    const DriverResult r = picprk::par::run_diffusion(comm, cfg);
+    const DriverResult r = picprk::par::run_block(comm, cfg);
     EXPECT_TRUE(r.ok) << spec << " on " << case_tag(kind)
                       << ": failures=" << r.verification.position_failures;
     EXPECT_EQ(r.verification.id_checksum, r.expected_id_checksum)
@@ -202,7 +202,7 @@ TEST(GoldenPin, DiffusionDefaultsReproduceSeedBehaviour) {
   DriverResult result;
   World world(4);
   world.run([&](Comm& comm) {
-    const DriverResult r = picprk::par::run_diffusion(comm, cfg);
+    const DriverResult r = picprk::par::run_block(comm, cfg);
     if (comm.rank() == 0) result = r;
   });
   EXPECT_TRUE(result.ok);

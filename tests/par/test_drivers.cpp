@@ -1,4 +1,4 @@
-// Integration tests: the three parallel drivers must reproduce exactly
+// Integration tests: the parallel drivers must reproduce exactly
 // what the serial specification produces — verified positions (Eqs. 5–6)
 // and the id checksum — for every distribution, under real particle
 // communication, boundary migration and VP migration.
@@ -7,8 +7,7 @@
 #include "comm/world.hpp"
 #include "lb/bounds.hpp"
 #include "par/ampi.hpp"
-#include "par/baseline.hpp"
-#include "par/diffusion.hpp"
+#include "par/block.hpp"
 
 namespace {
 
@@ -17,8 +16,7 @@ using picprk::comm::World;
 using picprk::par::DriverResult;
 using picprk::par::RunConfig;
 using picprk::par::run_ampi;
-using picprk::par::run_baseline;
-using picprk::par::run_diffusion;
+using picprk::par::run_block;
 using picprk::pic::CellRegion;
 using picprk::pic::ChargeSign;
 using picprk::pic::EventSchedule;
@@ -37,6 +35,13 @@ RunConfig make_config(std::int64_t cells, std::uint64_t n, std::uint32_t steps) 
   return cfg;
 }
 
+/// The baseline ("mpi-2d") configuration: the block driver with its
+/// bounds left static.
+RunConfig baseline(RunConfig cfg) {
+  cfg.lb.every = 0;
+  return cfg;
+}
+
 // ---------------------------------------------------------- baseline
 
 class BaselineRanks : public ::testing::TestWithParam<int> {};
@@ -47,7 +52,7 @@ TEST_P(BaselineRanks, UniformVerifies) {
   World world(GetParam());
   world.run([](Comm& comm) {
     auto cfg = make_config(24, 1200, 30);
-    const DriverResult r = run_baseline(comm, cfg);
+    const DriverResult r = run_block(comm, baseline(cfg));
     EXPECT_TRUE(r.ok) << "failures=" << r.verification.position_failures
                       << " checksum=" << r.verification.id_checksum << "/"
                       << r.expected_id_checksum;
@@ -62,7 +67,7 @@ TEST_P(BaselineRanks, GeometricSkewVerifies) {
     cfg.init.distribution = Geometric{0.85};
     cfg.init.k = 1;
     cfg.init.m = 1;
-    EXPECT_TRUE(run_baseline(comm, cfg).ok);
+    EXPECT_TRUE(run_block(comm, baseline(cfg)).ok);
   });
 }
 
@@ -72,7 +77,7 @@ TEST(Baseline, EventsVerifyInParallel) {
     auto cfg = make_config(20, 800, 30);
     cfg.events = EventSchedule({InjectionEvent{10, CellRegion{5, 15, 5, 15}, 300}},
                                {RemovalEvent{20, CellRegion{0, 10, 0, 20}, 0.5}});
-    const DriverResult r = run_baseline(comm, cfg);
+    const DriverResult r = run_block(comm, baseline(cfg));
     EXPECT_TRUE(r.ok);
   });
 }
@@ -83,7 +88,7 @@ TEST(Baseline, RandomSignDistributionVerifies) {
     auto cfg = make_config(20, 900, 25);
     cfg.init.sign = ChargeSign::Random;
     cfg.init.m = -1;
-    EXPECT_TRUE(run_baseline(comm, cfg).ok);
+    EXPECT_TRUE(run_block(comm, baseline(cfg)).ok);
   });
 }
 
@@ -93,7 +98,7 @@ TEST(Baseline, ImbalanceSeriesShowsSkew) {
     auto cfg = make_config(24, 3000, 12);
     cfg.init.distribution = Geometric{0.7};
     cfg.sample_every = 4;
-    const DriverResult r = run_baseline(comm, cfg);
+    const DriverResult r = run_block(comm, baseline(cfg));
     ASSERT_FALSE(r.imbalance_series.empty());
     // A strongly skewed distribution on a static decomposition starts
     // far out of balance (the cloud drifts right over time, so the first
@@ -102,6 +107,42 @@ TEST(Baseline, ImbalanceSeriesShowsSkew) {
     EXPECT_GT(r.max_particles_per_rank,
               static_cast<std::uint64_t>(r.ideal_particles_per_rank));
   });
+}
+
+/// Golden numbers of the baseline driver (cells 32, n 4000, geometric
+/// 0.9, k 1, m 1, 40 steps, one injection and one removal, sample every
+/// 5, 4 ranks), captured from the standalone mpi-2d driver before it was
+/// folded into the block driver. The static-bounds path must reproduce
+/// them bit for bit. checkpoint_bytes is deliberately not pinned.
+TEST(GoldenPin, BaselineReproducesStandaloneDriver) {
+  auto cfg = make_config(32, 4000, 40);
+  cfg.init.distribution = Geometric{0.9};
+  cfg.init.k = 1;
+  cfg.init.m = 1;
+  cfg.sample_every = 5;
+  cfg.events = EventSchedule({InjectionEvent{10, CellRegion{4, 20, 4, 20}, 600}},
+                             {RemovalEvent{25, CellRegion{0, 16, 0, 32}, 0.4}});
+  DriverResult result;
+  World world(4);
+  world.run([&](Comm& comm) {
+    const DriverResult r = run_block(comm, baseline(cfg));
+    if (comm.rank() == 0) result = r;
+  });
+  EXPECT_TRUE(result.ok);
+  EXPECT_EQ(result.final_particles, 3778u);
+  EXPECT_EQ(result.verification.id_checksum, 9419096u);
+  EXPECT_EQ(result.particles_exchanged, 38515u);
+  EXPECT_EQ(result.exchange_bytes, 3081200u);
+  EXPECT_EQ(result.max_particles_per_rank, 1151u);
+  EXPECT_EQ(result.lb_actions, 0u);
+  const std::vector<double> expected = {
+      1.580271766482134,  1.622546552591847,  1.6427480916030535,
+      1.6776444929116685, 1.6680479825517993, 1.6040232927474853,
+      1.4833245103229222, 1.6124933827421917};
+  ASSERT_EQ(result.imbalance_series.size(), expected.size());
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    EXPECT_DOUBLE_EQ(result.imbalance_series[i], expected[i]) << "sample " << i;
+  }
 }
 
 // --------------------------------------------------------- diffusion
@@ -117,7 +158,7 @@ TEST_P(DiffusionRanks, SkewedDistributionVerifies) {
     cfg.init.distribution = Geometric{0.8};
     cfg.lb.strategy = "diffusion:threshold=0.05";
     cfg.lb.every = 5;
-    const DriverResult r = run_diffusion(comm, cfg);
+    const DriverResult r = run_block(comm, cfg);
     EXPECT_TRUE(r.ok) << "failures=" << r.verification.position_failures;
   });
 }
@@ -127,10 +168,10 @@ TEST(Diffusion, ImprovesBalanceOverBaseline) {
   world.run([](Comm& comm) {
     auto cfg = make_config(32, 4000, 60);
     cfg.init.distribution = Geometric{0.8};
-    const DriverResult base = run_baseline(comm, cfg);
+    const DriverResult base = run_block(comm, baseline(cfg));
     cfg.lb.strategy = "diffusion:threshold=0.05,border=1";
     cfg.lb.every = 4;
-    const DriverResult diff = run_diffusion(comm, cfg);
+    const DriverResult diff = run_block(comm, cfg);
     EXPECT_TRUE(base.ok);
     EXPECT_TRUE(diff.ok);
     // The §V-B comparison: max particles per rank must improve.
@@ -148,7 +189,7 @@ TEST(Diffusion, TwoPhaseVerifies) {
     cfg.init.distribution = picprk::pic::Patch{CellRegion{0, 8, 0, 8}};
     cfg.lb.strategy = "diffusion:threshold=0.05,two_phase=1";
     cfg.lb.every = 5;
-    const DriverResult r = run_diffusion(comm, cfg);
+    const DriverResult r = run_block(comm, cfg);
     EXPECT_TRUE(r.ok);
   });
 }
@@ -162,7 +203,7 @@ TEST(Diffusion, EventsAndLbTogether) {
                                {RemovalEvent{25, CellRegion{0, 12, 0, 24}, 0.6}});
     cfg.lb.strategy = "diffusion:threshold=0.05";
     cfg.lb.every = 6;
-    EXPECT_TRUE(run_diffusion(comm, cfg).ok);
+    EXPECT_TRUE(run_block(comm, cfg).ok);
   });
 }
 
@@ -173,7 +214,7 @@ TEST(Diffusion, WiderBorderVerifies) {
     cfg.init.distribution = Geometric{0.8};
     cfg.lb.strategy = "diffusion:threshold=0.02,border=3";
     cfg.lb.every = 4;
-    EXPECT_TRUE(run_diffusion(comm, cfg).ok);
+    EXPECT_TRUE(run_block(comm, cfg).ok);
   });
 }
 
@@ -184,7 +225,7 @@ TEST(Diffusion, RcbStrategyVerifies) {
     cfg.init.distribution = Geometric{0.8};
     cfg.lb.strategy = "rcb";
     cfg.lb.every = 8;
-    const DriverResult r = run_diffusion(comm, cfg);
+    const DriverResult r = run_block(comm, cfg);
     EXPECT_TRUE(r.ok) << "failures=" << r.verification.position_failures;
   });
 }
@@ -196,7 +237,7 @@ TEST(Diffusion, AdaptiveStrategyVerifies) {
     cfg.init.distribution = Geometric{0.8};
     cfg.lb.strategy = "adaptive";
     cfg.lb.every = 8;
-    EXPECT_TRUE(run_diffusion(comm, cfg).ok);
+    EXPECT_TRUE(run_block(comm, cfg).ok);
   });
 }
 
@@ -206,7 +247,7 @@ TEST(Diffusion, PlacementOnlyStrategyIsRejected) {
   EXPECT_THROW(world.run([](Comm& comm) {
     auto cfg = make_config(16, 400, 5);
     cfg.lb.strategy = "greedy";  // placement-only, cannot move bounds
-    (void)run_diffusion(comm, cfg);
+    (void)run_block(comm, cfg);
   }),
                std::invalid_argument);
 }
@@ -348,10 +389,10 @@ TEST(CrossImplementation, AllThreeAgreeWithSerialChecksum) {
   DriverResult base, diff;
   World world(4);
   world.run([&](Comm& comm) {
-    const auto b = run_baseline(comm, cfg);
+    const auto b = run_block(comm, baseline(cfg));
     RunConfig dcfg = cfg;
     dcfg.lb.every = 6;
-    const auto d = run_diffusion(comm, dcfg);
+    const auto d = run_block(comm, dcfg);
     if (comm.rank() == 0) {
       base = b;
       diff = d;

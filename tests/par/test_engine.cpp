@@ -60,6 +60,24 @@ TEST(Engine, InvalidResilienceKnobsThrowAtConstruction) {
   EXPECT_THROW(make_engine(cfg), std::invalid_argument);
 }
 
+TEST(Engine, BaselineRejectsABalancer) {
+  // Baseline is the block driver with static bounds; a balancer there
+  // would be silently ignored, so it is refused and diffusion is named.
+  RunConfig cfg = small_config("baseline");
+  cfg.lb.strategy = "rcb";
+  try {
+    (void)make_engine(cfg);
+    FAIL() << "baseline accepted a balancer";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("--impl diffusion"), std::string::npos)
+        << e.what();
+  }
+  // A bare cadence stays accepted (the CLI default is 16).
+  cfg.lb.strategy.clear();
+  cfg.lb.every = 16;
+  EXPECT_NO_THROW((void)make_engine(cfg));
+}
+
 class EveryEngine : public ::testing::TestWithParam<std::string> {};
 INSTANTIATE_TEST_SUITE_P(Impls, EveryEngine,
                          ::testing::ValuesIn(engine_names()),

@@ -11,8 +11,7 @@
 
 #include "comm/world.hpp"
 #include "par/ampi.hpp"
-#include "par/baseline.hpp"
-#include "par/diffusion.hpp"
+#include "par/block.hpp"
 #include "pic/simulation.hpp"
 #include "ws/binned.hpp"
 
@@ -102,7 +101,9 @@ TEST_P(Matrix, BaselineMatchesSerial) {
   const auto ref = serial_reference(cfg);
   World world(4);
   world.run([&](Comm& comm) {
-    const DriverResult r = picprk::par::run_baseline(comm, cfg);
+    RunConfig bcfg = cfg;
+    bcfg.lb.every = 0;  // baseline: static bounds
+    const DriverResult r = picprk::par::run_block(comm, bcfg);
     EXPECT_TRUE(r.ok);
     EXPECT_EQ(r.final_particles, ref.particles);
     EXPECT_EQ(r.verification.id_checksum, ref.checksum);
@@ -118,7 +119,7 @@ TEST_P(Matrix, DiffusionMatchesSerial) {
     RunConfig dcfg = cfg;
     dcfg.lb.strategy = "diffusion:threshold=0.05,border=2";
     dcfg.lb.every = 4;
-    const DriverResult r = picprk::par::run_diffusion(comm, dcfg);
+    const DriverResult r = picprk::par::run_block(comm, dcfg);
     EXPECT_TRUE(r.ok);
     EXPECT_EQ(r.final_particles, ref.particles);
     EXPECT_EQ(r.verification.id_checksum, ref.checksum);
@@ -134,7 +135,7 @@ TEST_P(Matrix, TwoPhaseDiffusionMatchesSerial) {
     RunConfig dcfg = cfg;
     dcfg.lb.strategy = "diffusion:threshold=0.05,border=1,two_phase=1";
     dcfg.lb.every = 6;
-    const DriverResult r = picprk::par::run_diffusion(comm, dcfg);
+    const DriverResult r = picprk::par::run_block(comm, dcfg);
     EXPECT_TRUE(r.ok);
     EXPECT_EQ(r.final_particles, ref.particles);
     EXPECT_EQ(r.verification.id_checksum, ref.checksum);
@@ -150,7 +151,7 @@ TEST_P(Matrix, RcbMatchesSerial) {
     RunConfig dcfg = cfg;
     dcfg.lb.strategy = "rcb:two_phase=1";
     dcfg.lb.every = 6;
-    const DriverResult r = picprk::par::run_diffusion(comm, dcfg);
+    const DriverResult r = picprk::par::run_block(comm, dcfg);
     EXPECT_TRUE(r.ok);
     EXPECT_EQ(r.final_particles, ref.particles);
     EXPECT_EQ(r.verification.id_checksum, ref.checksum);
@@ -166,7 +167,7 @@ TEST_P(Matrix, AdaptiveMatchesSerial) {
     RunConfig dcfg = cfg;
     dcfg.lb.strategy = "adaptive";
     dcfg.lb.every = 6;
-    const DriverResult r = picprk::par::run_diffusion(comm, dcfg);
+    const DriverResult r = picprk::par::run_block(comm, dcfg);
     EXPECT_TRUE(r.ok);
     EXPECT_EQ(r.final_particles, ref.particles);
     EXPECT_EQ(r.verification.id_checksum, ref.checksum);

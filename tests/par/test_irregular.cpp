@@ -5,8 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "comm/world.hpp"
-#include "par/baseline.hpp"
-#include "par/diffusion.hpp"
+#include "par/block.hpp"
 #include "par/irregular.hpp"
 
 namespace {
@@ -118,14 +117,15 @@ TEST(Irregular, ImprovesBalanceButFragments) {
   // while the rectangular scheme's stays at the rectangular value.
   World world(4);
   world.run([](Comm& comm) {
-    DriverConfig cfg;
+    picprk::par::RunConfig cfg;
     cfg.init.grid = GridSpec(32, 1.0);
     cfg.init.total_particles = 4000;
     cfg.init.distribution = Geometric{0.8};
     cfg.steps = 60;
     cfg.sample_every = 5;
+    cfg.lb.every = 0;  // baseline: static bounds
 
-    const auto base = picprk::par::run_baseline(comm, cfg);
+    const auto base = picprk::par::run_block(comm, cfg);
 
     IrregularParams params;
     params.frequency = 4;

@@ -15,7 +15,7 @@
 #include "obs/registry.hpp"
 #include "obs/sinks.hpp"
 #include "par/ampi.hpp"
-#include "par/baseline.hpp"
+#include "par/block.hpp"
 #include "par/decomposition.hpp"
 #include "par/driver_common.hpp"
 #include "pic/init.hpp"
@@ -30,8 +30,8 @@ using picprk::obs::Registry;
 using picprk::obs::StepSample;
 using picprk::obs::Trace;
 using picprk::par::Decomposition2D;
-using picprk::par::DriverConfig;
 using picprk::par::DriverResult;
+using picprk::par::RunConfig;
 using picprk::pic::Geometric;
 using picprk::pic::GridSpec;
 using picprk::pic::Initializer;
@@ -41,8 +41,9 @@ constexpr std::uint64_t kParticles = 20000;
 constexpr std::uint32_t kSteps = 12;
 constexpr int kRanks = 4;
 
-DriverConfig make_config() {
-  DriverConfig cfg;
+RunConfig make_config() {
+  RunConfig cfg;
+  cfg.lb.every = 0;  // the block driver runs as the baseline: static bounds
   cfg.init.grid = GridSpec(kCells, 1.0);
   cfg.init.total_particles = kParticles;
   cfg.init.distribution = Geometric{0.8};  // skewed: lambda > 1 under a 2-D grid
@@ -92,13 +93,13 @@ double lambda_of(const std::vector<std::uint64_t>& loads) {
 TEST(ObsIntegration, BaselineLambdaMatchesClosedFormPerStep) {
   Registry registry;
   Trace trace;
-  DriverConfig cfg = make_config();
+  RunConfig cfg = make_config();
   cfg.obs = Hooks{&registry, &trace};
 
   DriverResult result;
   World world(kRanks);
   world.run([&](Comm& comm) {
-    const DriverResult r = picprk::par::run_baseline(comm, cfg);
+    const DriverResult r = picprk::par::run_block(comm, cfg);
     if (comm.rank() == 0) result = r;
   });
   ASSERT_TRUE(result.ok);
@@ -131,13 +132,13 @@ TEST(ObsIntegration, BaselineLambdaMatchesClosedFormPerStep) {
 TEST(ObsIntegration, BaselineLambdaTracksAnalyticExpectation) {
   Registry registry;
   Trace trace;
-  DriverConfig cfg = make_config();
+  RunConfig cfg = make_config();
   cfg.obs = Hooks{&registry, &trace};
 
   DriverResult result;
   World world(kRanks);
   world.run([&](Comm& comm) {
-    const DriverResult r = picprk::par::run_baseline(comm, cfg);
+    const DriverResult r = picprk::par::run_block(comm, cfg);
     if (comm.rank() == 0) result = r;
   });
   ASSERT_TRUE(result.ok);
@@ -174,25 +175,25 @@ TEST(ObsIntegration, BaselineLambdaTracksAnalyticExpectation) {
 TEST(ObsIntegration, ObservedAndDarkRunsProduceTheSameImbalanceSeries) {
   // The telemetry path must not change what is measured: lambda from
   // sample_step_telemetry equals lambda from the legacy sampler.
-  DriverConfig dark_cfg = make_config();
+  RunConfig dark_cfg = make_config();
   DriverResult dark;
   {
     World world(kRanks);
     world.run([&](Comm& comm) {
-      const DriverResult r = picprk::par::run_baseline(comm, dark_cfg);
+      const DriverResult r = picprk::par::run_block(comm, dark_cfg);
       if (comm.rank() == 0) dark = r;
     });
   }
 
   Registry registry;
   Trace trace;
-  DriverConfig obs_cfg = make_config();
+  RunConfig obs_cfg = make_config();
   obs_cfg.obs = Hooks{&registry, &trace};
   DriverResult observed;
   {
     World world(kRanks);
     world.run([&](Comm& comm) {
-      const DriverResult r = picprk::par::run_baseline(comm, obs_cfg);
+      const DriverResult r = picprk::par::run_block(comm, obs_cfg);
       if (comm.rank() == 0) observed = r;
     });
   }
@@ -206,11 +207,11 @@ TEST(ObsIntegration, ObservedAndDarkRunsProduceTheSameImbalanceSeries) {
 TEST(ObsIntegration, BaselineRegistersPerRankInstrumentsAndTraceLanes) {
   Registry registry;
   Trace trace;
-  DriverConfig cfg = make_config();
+  RunConfig cfg = make_config();
   cfg.obs = Hooks{&registry, &trace};
 
   World world(kRanks);
-  world.run([&](Comm& comm) { picprk::par::run_baseline(comm, cfg); });
+  world.run([&](Comm& comm) { picprk::par::run_block(comm, cfg); });
 
   if (!picprk::obs::kEnabled) {
     EXPECT_EQ(registry.size(), 0u);
@@ -245,10 +246,8 @@ TEST(ObsIntegration, BaselineRegistersPerRankInstrumentsAndTraceLanes) {
 TEST(ObsIntegration, AmpiDriverPopulatesSamplesAndVpLanes) {
   Registry registry;
   Trace trace;
-  DriverConfig cfg = make_config();
-  cfg.obs = Hooks{&registry, &trace};
-  picprk::par::RunConfig acfg;
-  static_cast<DriverConfig&>(acfg) = cfg;
+  RunConfig acfg = make_config();
+  acfg.obs = Hooks{&registry, &trace};
   acfg.workers = 2;
   acfg.overdecomposition = 4;
   acfg.lb.every = 4;

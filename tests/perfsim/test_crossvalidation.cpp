@@ -8,8 +8,7 @@
 
 #include "comm/world.hpp"
 #include "lb/bounds.hpp"
-#include "par/baseline.hpp"
-#include "par/diffusion.hpp"
+#include "par/block.hpp"
 #include "perfsim/engine.hpp"
 
 namespace {
@@ -37,7 +36,8 @@ TEST(CrossValidation, StaticImbalanceMatchesRealBaseline) {
   params.total_particles = 24000;
   params.distribution = Geometric{0.9};
 
-  DriverConfig cfg;
+  picprk::par::RunConfig cfg;
+  cfg.lb.every = 0;  // baseline: static bounds
   cfg.init = params;
   cfg.steps = 24;
   cfg.sample_every = 1;
@@ -45,7 +45,7 @@ TEST(CrossValidation, StaticImbalanceMatchesRealBaseline) {
   DriverResult real;
   World world(4);
   world.run([&](Comm& comm) {
-    const auto r = picprk::par::run_baseline(comm, cfg);
+    const auto r = picprk::par::run_block(comm, cfg);
     if (comm.rank() == 0) real = r;
   });
 
@@ -68,14 +68,15 @@ TEST(CrossValidation, ModelReproducesMeasuredMaxParticles) {
   params.total_particles = 24000;
   params.distribution = Geometric{0.9};
 
-  DriverConfig cfg;
+  picprk::par::RunConfig cfg;
+  cfg.lb.every = 0;  // baseline: static bounds
   cfg.init = params;
   cfg.steps = 16;
 
   DriverResult real;
   World world(4);
   world.run([&](Comm& comm) {
-    const auto r = picprk::par::run_baseline(comm, cfg);
+    const auto r = picprk::par::run_block(comm, cfg);
     if (comm.rank() == 0) real = r;
   });
 

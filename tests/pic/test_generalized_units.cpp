@@ -5,7 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "comm/world.hpp"
-#include "par/baseline.hpp"
+#include "par/block.hpp"
 #include "pic/simulation.hpp"
 
 namespace {
@@ -81,7 +81,8 @@ TEST(GeneralizedUnits, MeshChargeMagnitudeScales) {
 }
 
 TEST(GeneralizedUnits, ParallelDriverWithNonUnitUnits) {
-  picprk::par::DriverConfig cfg;
+  picprk::par::RunConfig cfg;
+  cfg.lb.every = 0;  // baseline: static bounds
   cfg.init.grid = GridSpec(24, 0.5);
   cfg.init.total_particles = 800;
   cfg.init.distribution = picprk::pic::Geometric{0.85};
@@ -90,7 +91,7 @@ TEST(GeneralizedUnits, ParallelDriverWithNonUnitUnits) {
   cfg.steps = 25;
   picprk::comm::World world(4);
   world.run([&](picprk::comm::Comm& comm) {
-    EXPECT_TRUE(picprk::par::run_baseline(comm, cfg).ok);
+    EXPECT_TRUE(picprk::par::run_block(comm, cfg).ok);
   });
 }
 

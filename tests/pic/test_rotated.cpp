@@ -3,8 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "comm/world.hpp"
-#include "par/baseline.hpp"
-#include "par/diffusion.hpp"
+#include "par/block.hpp"
 #include "perfsim/workload.hpp"
 #include "pic/simulation.hpp"
 
@@ -78,17 +77,18 @@ TEST(RotatedDrivers, XOnlyDiffusionCannotFixRowSkew) {
     cfg.init = rotated_params(32, 6000, 0.8);
     cfg.steps = 60;
     cfg.sample_every = 5;
+    cfg.lb.every = 0;  // baseline: static bounds
 
-    const DriverResult base = picprk::par::run_baseline(comm, cfg);
+    const DriverResult base = picprk::par::run_block(comm, cfg);
 
     RunConfig xonly = cfg;
     xonly.lb.strategy = "diffusion:threshold=0.05,border=2";
     xonly.lb.every = 4;
-    const DriverResult x = picprk::par::run_diffusion(comm, xonly);
+    const DriverResult x = picprk::par::run_block(comm, xonly);
 
     RunConfig both = xonly;
     both.lb.strategy = "diffusion:threshold=0.05,border=2,two_phase=1";
-    const DriverResult xy = picprk::par::run_diffusion(comm, both);
+    const DriverResult xy = picprk::par::run_block(comm, both);
 
     ASSERT_TRUE(base.ok);
     ASSERT_TRUE(x.ok);

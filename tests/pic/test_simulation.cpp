@@ -47,12 +47,6 @@ TEST(SerialSimulation, SinusoidalWithRandomSignsVerifies) {
   EXPECT_TRUE(run_serial(cfg).ok());
 }
 
-TEST(SerialSimulation, SoAMoverVerifies) {
-  auto cfg = base_config(40, 2000, 50);
-  cfg.init.k = 1;
-  EXPECT_TRUE(run_serial(cfg, /*use_soa=*/true).ok());
-}
-
 TEST(SerialSimulation, LongRunManyWraps) {
   auto cfg = base_config(16, 400, 400);
   cfg.init.k = 1;  // 3 cells/step on a 16-cell ring: many wraps
