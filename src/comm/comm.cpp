@@ -149,6 +149,7 @@ std::optional<std::vector<std::byte>> Comm::try_recv_buffer(int src, int tag,
   return std::move(msg->payload);
 }
 
+// picprk-lint: suppress(reach: MPI_Iprobe counterpart; comm and ft tests probe with it)
 std::optional<Status> Comm::iprobe(int src, int tag) {
   PICPRK_EXPECTS(src == kAnySource || (src >= 0 && src < size()));
   const int wsrc = src == kAnySource ? kAnySource : group_[static_cast<std::size_t>(src)];
@@ -168,6 +169,7 @@ void Comm::barrier() {
   }
 }
 
+// picprk-lint: suppress(reach: MPI_Comm_split counterpart; comm tests split with it)
 Comm Comm::split(int color, int key) {
   const int tag = next_tag(detail::Op::Split);
 

@@ -23,16 +23,10 @@ inline constexpr int kAnyTag = -0x7FFFFFFF;
 // k...Tag constant defined in this file, and no other file may define
 // one. To add a tag, add a line below with the next free value.
 
-/// Mesh-column/row migration between adjacent ranks (par/diffusion).
+/// Mesh-column/row migration between adjacent ranks (par/block).
 inline constexpr int kMeshTag = 1000;
 /// Buddy-checkpoint snapshot payloads (par/resilient).
 inline constexpr int kCheckpointTag = 1001;
-/// Halo/fold traffic by travel direction (field/dist_field): the
-/// receiver of a westward message fills or folds its east side, etc.
-inline constexpr int kWestwardTag = 2001;
-inline constexpr int kEastwardTag = 2002;
-inline constexpr int kSouthwardTag = 2003;  ///< rows, incl. x-halo entries
-inline constexpr int kNorthwardTag = 2004;
 /// Async engine (par/async): step-stamped particle payloads between VPs.
 inline constexpr int kAsyncParticlesTag = 3001;
 /// Async engine: the Mattern termination-detection token on the rank ring.

@@ -23,7 +23,6 @@ void RecoveryCoordinator::attach(comm::WorldState* state) {
 void RecoveryCoordinator::begin_run() {
   std::scoped_lock lock(mutex_);
   arrived_ = 0;
-  newly_dead_.clear();
   restore_step_.reset();
   failure_.clear();
 }
@@ -33,8 +32,6 @@ void RecoveryCoordinator::declare_dead(int rank, std::uint32_t step) {
     std::scoped_lock lock(mutex_);
     PICPRK_EXPECTS(state_ != nullptr);
     PICPRK_EXPECTS(rank >= 0 && rank < ranks_);
-    newly_dead_.insert(rank);
-    all_dead_.insert(rank);
     (void)step;  // the restore step is decided by the checkpoint store
   }
   // Drop here, not in join()'s serial section: if the rendezvous later
@@ -59,7 +56,6 @@ std::uint32_t RecoveryCoordinator::join(comm::Comm& comm) {
     // thread cannot re-push a retransmission behind the drain.
     if (state_->transport != nullptr) state_->transport->flush();
     for (auto& box : state_->boxes) drained_ += box->drain().size();
-    newly_dead_.clear();  // primaries already dropped in declare_dead()
     restore_step_ = store_->consistent_step(ranks_);
     if (restore_step_) {
       failure_.clear();
@@ -98,11 +94,6 @@ std::uint32_t RecoveryCoordinator::join(comm::Comm& comm) {
   comm.reset_collective_sequences();
   comm.acknowledge_interrupt();
   return restore;
-}
-
-std::vector<int> RecoveryCoordinator::dead_ranks() const {
-  std::scoped_lock lock(mutex_);
-  return {all_dead_.begin(), all_dead_.end()};
 }
 
 std::uint32_t RecoveryCoordinator::recoveries() const {

@@ -38,7 +38,6 @@
 #include <cstdint>
 #include <mutex>
 #include <optional>
-#include <set>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -89,10 +88,6 @@ class RecoveryCoordinator {
   /// interrupt epoch acknowledged before returning.
   std::uint32_t join(comm::Comm& comm);
 
-  /// Every rank ever declared dead (sorted) — the degraded set handed
-  /// to placement-capable balancers.
-  std::vector<int> dead_ranks() const;
-
   /// Completed localized recoveries.
   std::uint32_t recoveries() const;
 
@@ -113,10 +108,6 @@ class RecoveryCoordinator {
   /// Outcome of the round that just completed, read by every waiter.
   std::optional<std::uint32_t> restore_step_;
   std::string failure_;
-  /// Ranks declared dead since the last repair section (primaries still
-  /// to drop) and over the coordinator's whole life.
-  std::set<int> newly_dead_;
-  std::set<int> all_dead_;
   std::uint32_t recoveries_ = 0;
   std::uint64_t drained_ = 0;
 };

@@ -6,7 +6,7 @@
 // driver; benches and tests construct it directly instead of mirroring
 // flag parsing. This retires the per-driver parameter structs
 // (DiffusionParams, AmpiParams) and the long positional signatures of
-// run_diffusion/run_ampi/run_resilient.
+// run_block/run_ampi/run_resilient.
 #pragma once
 
 #include <cstdint>

@@ -1,6 +1,5 @@
 #include "util/log.hpp"
 
-#include <atomic>
 #include <cstdlib>
 #include <iostream>
 #include <mutex>
@@ -25,11 +24,6 @@ LogLevel initial_level() {
   return LogLevel::Warn;
 }
 
-std::atomic<int>& level_storage() {
-  static std::atomic<int> level{static_cast<int>(initial_level())};
-  return level;
-}
-
 std::mutex& sink_mutex() {
   static std::mutex m;
   return m;
@@ -37,10 +31,9 @@ std::mutex& sink_mutex() {
 
 }  // namespace
 
-LogLevel log_level() { return static_cast<LogLevel>(level_storage().load(std::memory_order_relaxed)); }
-
-void set_log_level(LogLevel level) {
-  level_storage().store(static_cast<int>(level), std::memory_order_relaxed);
+LogLevel log_level() {
+  static const LogLevel level = initial_level();
+  return level;
 }
 
 const char* to_string(LogLevel level) {

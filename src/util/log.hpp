@@ -15,9 +15,6 @@ enum class LogLevel { Trace = 0, Debug = 1, Info = 2, Warn = 3, Error = 4, Off =
 /// environment variable PICPRK_LOG=trace|debug|info|warn|error|off).
 LogLevel log_level();
 
-/// Sets the global log level programmatically.
-void set_log_level(LogLevel level);
-
 /// Emits one line to stderr with a level prefix; serialized across threads.
 void log_line(LogLevel level, const std::string& text);
 

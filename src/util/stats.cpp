@@ -21,11 +21,10 @@ void Accumulator::add(double x) {
   m2_ += delta * (x - mean_);
 }
 
+// picprk-lint: suppress(reach: Welford variance, checked by tests/util/test_stats.cpp)
 double Accumulator::variance() const {
   return count_ == 0 ? 0.0 : m2_ / static_cast<double>(count_);
 }
-
-double Accumulator::stddev() const { return std::sqrt(variance()); }
 
 double Accumulator::min() const { return min_; }
 
@@ -99,11 +98,6 @@ void Histogram::add(double x, std::uint64_t weight) {
                                    static_cast<std::ptrdiff_t>(counts_.size()) - 1);
   counts_[static_cast<std::size_t>(idx)] += weight;
   total_ += weight;
-}
-
-double Histogram::bucket_low(std::size_t i) const {
-  return lo_ + (hi_ - lo_) * static_cast<double>(i) /
-                   static_cast<double>(counts_.size());
 }
 
 double Histogram::quantile(double p) const {

@@ -19,7 +19,6 @@ class Accumulator {
   double sum() const { return sum_; }
   double mean() const { return count_ == 0 ? 0.0 : mean_; }
   double variance() const;  ///< population variance
-  double stddev() const;
   double min() const;
   double max() const;
 
@@ -69,7 +68,6 @@ class Histogram {
 
   void add(double x, std::uint64_t weight = 1);
   std::span<const std::uint64_t> counts() const { return counts_; }
-  double bucket_low(std::size_t i) const;
   std::uint64_t total() const { return total_; }
 
   /// Interpolated quantile of the bucketed sample (histogram_quantile).

@@ -151,6 +151,43 @@ TEST(P2P, EmptyMessageDelivered) {
   });
 }
 
+TEST(P2P, RecvIntoReusesCapacity) {
+  World world(3);
+  world.run([](Comm& comm) {
+    if (comm.rank() == 2) {
+      std::vector<int> full(8);
+      std::iota(full.begin(), full.end(), 1);
+      comm.send(full, 1, 21);
+      comm.send(std::vector<int>{9, 10, 11}, 1, 21);
+      comm.send(std::vector<int>{}, 1, 21);
+    } else if (comm.rank() == 1) {
+      std::vector<int> buf;
+      buf.reserve(8);
+      const int* storage = buf.data();
+      Status st;
+
+      EXPECT_EQ(comm.recv_into(buf, 2, 21, &st), 8u);
+      EXPECT_EQ(buf, (std::vector<int>{1, 2, 3, 4, 5, 6, 7, 8}));
+      EXPECT_EQ(buf.data(), storage);
+      EXPECT_EQ(st.source, 2);
+      EXPECT_EQ(st.tag, 21);
+      EXPECT_EQ(st.bytes, 8 * sizeof(int));
+
+      EXPECT_EQ(comm.recv_into(buf, kAnySource, 21, &st), 3u);
+      EXPECT_EQ(buf, (std::vector<int>{9, 10, 11}));
+      EXPECT_EQ(buf.data(), storage);
+      EXPECT_EQ(st.source, 2);
+      EXPECT_EQ(st.bytes, 3 * sizeof(int));
+
+      EXPECT_EQ(comm.recv_into(buf, 2, kAnyTag, &st), 0u);
+      EXPECT_TRUE(buf.empty());
+      EXPECT_GE(buf.capacity(), 8u);
+      EXPECT_EQ(st.tag, 21);
+      EXPECT_EQ(st.bytes, 0u);
+    }
+  });
+}
+
 TEST(P2P, ThrowingRankAbortsWorld) {
   World world(2);
   EXPECT_THROW(world.run([](Comm& comm) {

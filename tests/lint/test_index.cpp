@@ -206,4 +206,63 @@ class Pool {
   EXPECT_EQ(fn->held_on_entry[0], "mutex_");
 }
 
+TEST(Index, OutOfLineNestedClassBody) {
+  const lint::Index idx = index_of({{"j.cpp", R"(
+namespace ns {
+struct Runtime::Pool {
+  void worker_loop() { step(); }
+  int width = 0;
+};
+}  // namespace ns
+)"}});
+  ASSERT_EQ(idx.classes.size(), 1u);
+  EXPECT_EQ(idx.classes[0].name, "Pool");
+  EXPECT_EQ(idx.classes[0].qualified, "ns::Runtime::Pool");
+  const lint::FunctionDef* loop = find_fn(idx, "ns::Runtime::Pool::worker_loop");
+  ASSERT_NE(loop, nullptr);
+  EXPECT_EQ(loop->class_name, "Pool");
+  ASSERT_EQ(loop->calls.size(), 1u);
+  EXPECT_EQ(loop->calls[0].name, "step");
+}
+
+TEST(Index, InlineDefinitionsAreMarked) {
+  const lint::Index idx = index_of({{"k.cpp", R"(
+namespace ns {
+inline int a() { return 1; }
+constexpr int b() { return 2; }
+template <typename T> T c(T x) { return x; }
+struct S { int d() { return 4; } int e(); };
+int S::e() { return 5; }
+static int f() { return 6; }
+}  // namespace ns
+)"}});
+  for (const char* q : {"ns::a", "ns::b", "ns::c", "ns::S::d"}) {
+    const lint::FunctionDef* fn = find_fn(idx, q);
+    ASSERT_NE(fn, nullptr) << q;
+    EXPECT_TRUE(fn->is_inline) << q;
+  }
+  for (const char* q : {"ns::S::e", "ns::f"}) {
+    const lint::FunctionDef* fn = find_fn(idx, q);
+    ASSERT_NE(fn, nullptr) << q;
+    EXPECT_FALSE(fn->is_inline) << q;
+  }
+}
+
+TEST(Index, ConstructorWithInitializerList) {
+  const lint::Index idx = index_of({{"l.cpp", R"(
+namespace ns {
+Map::Map(const Grid& grid, int ranks)
+    : cells_(grid.cells), owners_(size(grid), 0), ranks_(ranks) {
+  fill();
+}
+}  // namespace ns
+)"}});
+  ASSERT_EQ(idx.functions.size(), 1u);
+  const lint::FunctionDef* ctor = find_fn(idx, "ns::Map::Map");
+  ASSERT_NE(ctor, nullptr);
+  EXPECT_EQ(ctor->class_name, "Map");
+  ASSERT_EQ(ctor->calls.size(), 1u);
+  EXPECT_EQ(ctor->calls[0].name, "fill");
+}
+
 }  // namespace

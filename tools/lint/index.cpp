@@ -66,6 +66,9 @@ struct Scanner {
   Index& out;
   int file_index;
   const std::vector<Token>& t;
+  /// Token just past the last `template <...>` head skipped at scope
+  /// level: a statement starting there is a template declaration.
+  std::size_t after_template = std::string::npos;
 
   Scanner(Index& index, int fi)
       : out(index), file_index(fi),
@@ -98,6 +101,7 @@ struct Scanner {
           const std::size_t close = match_angle(t, i);
           if (close != std::string::npos) i = close + 1;
         }
+        after_template = i;
         continue;
       }
       if (is_word(tok, "using") || is_word(tok, "typedef") ||
@@ -196,6 +200,13 @@ struct Scanner {
       break;
     }
     if (j >= end || !is_ident(t[j]) || is_keyword(t[j].text)) return i;
+    // Out-of-line nested class (`struct Outer::Inner {`): the last
+    // component names it, the qualifier becomes part of its scope.
+    std::string qualifier;
+    while (j + 2 < end && is_punct(t[j + 1], "::") && is_ident(t[j + 2])) {
+      qualifier += (qualifier.empty() ? "" : "::") + t[j].text;
+      j += 2;
+    }
     const std::size_t name_tok = j;
     const std::string name = t[j].text;
     ++j;
@@ -214,7 +225,8 @@ struct Scanner {
 
     ClassDef cd;
     cd.name = name;
-    const std::string outer = cls.empty() ? ns : (ns.empty() ? cls : ns + "::" + cls);
+    std::string outer = cls.empty() ? ns : (ns.empty() ? cls : ns + "::" + cls);
+    if (!qualifier.empty()) outer = outer.empty() ? qualifier : outer + "::" + qualifier;
     cd.qualified = outer.empty() ? name : outer + "::" + name;
     cd.file_index = file_index;
     cd.body_begin = j;
@@ -223,8 +235,7 @@ struct Scanner {
     out.classes.push_back(cd);
     const std::size_t class_idx = out.classes.size() - 1;
 
-    const std::string inner_ns = cls.empty() ? ns : (ns.empty() ? cls : ns + "::" + cls);
-    scan_scope(j + 1, close, inner_ns, name, class_idx);
+    scan_scope(j + 1, close, outer, name, class_idx);
     return close + 1;
   }
 
@@ -250,6 +261,8 @@ struct Scanner {
   /// mutex declarations and skips to the terminator.
   std::size_t scan_statement(std::size_t i, std::size_t end, const std::string& ns,
                              const std::string& cls, std::size_t cls_idx) {
+    std::size_t first_open = std::string::npos;  // first top-level ( ... )
+    std::size_t first_close = std::string::npos;
     std::size_t last_open = std::string::npos;  // last top-level ( ... )
     std::size_t last_close = std::string::npos;
     std::size_t j = i;
@@ -266,6 +279,10 @@ struct Scanner {
       if (is_punct(tok, "(")) {
         const std::size_t c = match_bracket(t, j);
         if (c == std::string::npos) return end;
+        if (first_open == std::string::npos) {
+          first_open = j;
+          first_close = c;
+        }
         last_open = j;
         last_close = c;
         j = c + 1;
@@ -285,6 +302,13 @@ struct Scanner {
       if (is_punct(tok, "{")) {
         const std::size_t close = match_bracket(t, j);
         if (close == std::string::npos) return end;
+        // The first parameter list names a constructor whose initializer
+        // list holds more paren groups; the last one names a function
+        // whose return type or attributes hold some.
+        if (first_open != last_open &&
+            try_function(i, first_open, first_close, j, close, ns, cls)) {
+          return close + 1;
+        }
         if (last_open != std::string::npos &&
             try_function(i, last_open, last_close, j, close, ns, cls)) {
           return close + 1;
@@ -451,12 +475,19 @@ struct Scanner {
     fn.qualified = prefix.empty() ? name : prefix + "::" + name;
     fn.file_index = file_index;
     fn.name_tok = name_tok;
+    fn.head_begin = stmt_begin;
     fn.body_begin = body_open;
     fn.body_end = body_close;
     fn.line = t[name_tok].line;
-    // Attributes before the name (PICPRK_HOT precedes the return type).
+    fn.is_inline = !cls.empty() || stmt_begin == after_template;
+    // Attributes and specifiers before the name (PICPRK_HOT precedes the
+    // return type).
     for (std::size_t k = stmt_begin; k < name_tok; ++k) {
       if (is_ident(t[k]) && is_attr_macro(t[k].text)) attrs.push_back(t[k].text);
+      if (is_word(t[k], "inline") || is_word(t[k], "constexpr") ||
+          is_word(t[k], "consteval")) {
+        fn.is_inline = true;
+      }
     }
     fn.attrs = attrs;
     fn.held_on_entry = held;

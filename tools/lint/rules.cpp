@@ -882,6 +882,112 @@ void check_headers(const Index& idx, const RuleOptions& opts,
   }
 }
 
+// ---------------------------------------------------------------------- reach
+
+/// True when `file` lies under `root` (both compared lexically).
+bool under_root(const fs::path& file, fs::path root) {
+  root = root.lexically_normal();
+  if (root.filename().empty()) root = root.parent_path();  // trailing '/'
+  const fs::path f = file.lexically_normal();
+  return std::mismatch(root.begin(), root.end(), f.begin(), f.end()).first ==
+         root.end();
+}
+
+/// Identifiers in the replacement text of every `#define` in the input,
+/// keyed by macro name.
+std::unordered_map<std::string, std::vector<std::string>> macro_bodies(
+    const Index& idx) {
+  std::unordered_map<std::string, std::vector<std::string>> out;
+  for (const SourceFile& f : idx.files) {
+    for (const Token& tok : f.lx.tokens) {
+      if (tok.kind != TokKind::kDirective) continue;
+      const std::size_t at = tok.text.find("define");
+      if (at == std::string::npos ||
+          tok.text.find_first_not_of("# \t") != at) {
+        continue;
+      }
+      const LexResult body = lex(tok.text.substr(at + 6));
+      std::vector<std::string> names;
+      for (const Token& b : body.tokens) {
+        if (is_ident(b) && !is_keyword(b.text)) names.push_back(b.text);
+      }
+      if (names.empty()) continue;
+      const std::string macro = names.front();
+      names.erase(names.begin());
+      out[macro] = std::move(names);
+    }
+  }
+  return out;
+}
+
+/// reach: every non-inline function defined under an include root must be
+/// reachable from a `main` among the linted files. Edges are the call
+/// graph widened to every mention of an indexed name in a reached
+/// definition (signature and constructor initializers included), so
+/// address-taken functions, constructors named by their type and
+/// same-named overrides count as reached. A mentioned macro stands for
+/// the names in its replacement text. Destructors and operators are
+/// called implicitly and are never reported. Returns false — the rule is
+/// inactive — when the input holds no `main`, since reach is undefined.
+bool check_reach(const Index& idx, const RuleOptions& opts,
+                 std::vector<Violation>& out) {
+  const std::size_t n = idx.functions.size();
+  std::vector<bool> reached(n, false);
+  std::vector<std::size_t> queue;
+  for (std::size_t i = 0; i < n; ++i) {
+    const FunctionDef& fn = idx.functions[i];
+    if (fn.name == "main" && fn.class_name.empty()) {
+      reached[i] = true;
+      queue.push_back(i);
+    }
+  }
+  if (queue.empty()) return false;
+
+  const auto macros = macro_bodies(idx);
+  std::set<std::string> macros_expanded;
+  const std::function<void(const std::string&)> reach_name =
+      [&](const std::string& name) {
+        const auto fit = idx.functions_by_name.find(name);
+        if (fit != idx.functions_by_name.end()) {
+          for (const std::size_t callee : fit->second) {
+            if (reached[callee]) continue;
+            reached[callee] = true;
+            queue.push_back(callee);
+          }
+        }
+        const auto mit = macros.find(name);
+        if (mit == macros.end() || !macros_expanded.insert(name).second) return;
+        for (const std::string& inner : mit->second) reach_name(inner);
+      };
+  auto mention = [&](const std::vector<Token>& t, std::size_t begin,
+                     std::size_t end) {
+    for (std::size_t k = begin; k <= end && k < t.size(); ++k) {
+      if (is_ident(t[k]) && !is_keyword(t[k].text)) reach_name(t[k].text);
+    }
+  };
+  for (std::size_t qi = 0; qi < queue.size(); ++qi) {
+    const FunctionDef& fn = idx.functions[queue[qi]];
+    mention(idx.file_of(fn).lx.tokens, fn.head_begin, fn.body_end);
+  }
+
+  for (std::size_t i = 0; i < n; ++i) {
+    const FunctionDef& fn = idx.functions[i];
+    if (reached[i] || fn.is_inline) continue;
+    if (fn.name[0] == '~' || fn.name.rfind("operator", 0) == 0) continue;
+    const SourceFile& f = idx.file_of(fn);
+    const bool in_scope = std::any_of(
+        opts.include_roots.begin(), opts.include_roots.end(),
+        [&f](const fs::path& root) { return under_root(f.path, root); });
+    if (!in_scope) continue;
+    out.push_back({f.path, fn.line, "reach",
+                   fn.qualified +
+                       " is reached from no main() in the linted files — "
+                       "delete it, or suppress with the reason it stays "
+                       "(tests are not roots)"});
+  }
+  return true;
+}
+
 // ----------------------------------------------------- suppression directives
 
 struct Directive {
@@ -906,8 +1012,12 @@ std::vector<Directive> parse_directives(const Index& idx) {
   std::vector<Directive> out;
   for (std::size_t fi = 0; fi < idx.files.size(); ++fi) {
     for (const Comment& c : idx.files[fi].lx.comments) {
+      // A directive opens its comment; prose that quotes the grammar
+      // further in is documentation, not a directive.
       const std::size_t at = c.text.find("picprk-lint:");
-      if (at == std::string::npos) continue;
+      if (at == std::string::npos || at != c.text.find_first_not_of(" \t")) {
+        continue;
+      }
       Directive d;
       d.file_index = static_cast<int>(fi);
       d.line = c.line;
@@ -965,7 +1075,7 @@ std::vector<Directive> parse_directives(const Index& idx) {
 const std::set<std::string>& all_rules() {
   static const std::set<std::string> rules = {
       "hot", "obs", "lb", "soa", "pup", "tags", "headers",
-      "collective", "lockorder", "determinism"};
+      "collective", "lockorder", "determinism", "reach"};
   return rules;
 }
 
@@ -987,6 +1097,12 @@ std::vector<Violation> run_rules(const Index& index, const CallGraph& graph,
   if (enabled.count("collective")) check_collective(index, graph, raw);
   if (enabled.count("lockorder")) check_lockorder(index, graph, raw);
   if (enabled.count("determinism")) check_determinism(index, graph, raw);
+  // An input without a main() leaves reach undefined: the rule is then
+  // inactive, and so is the audit of its suppressions.
+  std::set<std::string> active = enabled;
+  if (enabled.count("reach") && !check_reach(index, opts, raw)) {
+    active.erase("reach");
+  }
 
   // Suppressions: a finding is silenced by a well-formed suppress(<rule>:
   // <reason>) on its own line or the line directly above. The collective
@@ -1038,7 +1154,7 @@ std::vector<Violation> run_rules(const Index& index, const CallGraph& graph,
       continue;
     }
     if (d.kind == Directive::Kind::kSuppress && !d.used &&
-        enabled.count(d.rule) != 0) {
+        active.count(d.rule) != 0) {
       kept.push_back({path, d.line, "suppress",
                       "unused suppression for rule '" + d.rule +
                           "' — the finding it silenced is gone; delete the "

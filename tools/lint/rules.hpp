@@ -1,6 +1,6 @@
 // picprk-lint v2 analysis core, stage 3: the rules.
 //
-// Every rule runs over the symbol index (and, for the three
+// Every rule runs over the symbol index (and, for the four
 // graph-aware families, the project call graph) instead of raw text.
 // The engine also owns the suppression grammar:
 //
@@ -36,7 +36,7 @@ struct RuleOptions {
 };
 
 /// All rule names, the six ported families first:
-/// hot obs lb soa pup tags headers collective lockorder determinism
+/// hot obs lb soa pup tags headers collective lockorder determinism reach
 /// (plus the implicit `suppress` audit, always on).
 const std::set<std::string>& all_rules();
 
