@@ -23,9 +23,6 @@
 #include <span>
 #include <type_traits>
 #include <vector>
-#if defined(PICPRK_EXPENSIVE_CHECKS)
-#include <thread>
-#endif
 
 #include "comm/world.hpp"
 #include "util/assert.hpp"
@@ -67,10 +64,13 @@ inline int internal_tag(Op op, int seq) {
 /// or create a buffer — the benchmark/test hook for the zero-allocation
 /// claim.
 ///
-/// Thread-confined, deliberately: each rank thread owns its pool, so the
-/// hot path carries no lock. The confinement is an enforced invariant,
-/// not a comment — PICPRK_EXPENSIVE_CHECKS builds assert that every
-/// acquire/release comes from the thread that first used the pool.
+/// Unsynchronized, deliberately: each rank (or VP) owns its pool, so the
+/// hot path carries no lock. Ownership may pass between threads at a
+/// barrier — a VP acquires in step() and releases in deliver(), which
+/// the vpr runtime may run on different workers — but two calls must
+/// never overlap. That is an enforced invariant, not a comment:
+/// PICPRK_EXPENSIVE_CHECKS builds flag every acquire/release that starts
+/// while another one on the same pool is still running.
 class BufferPool {
  public:
   /// Returns a buffer of exactly `size` bytes, reusing pooled capacity
@@ -78,7 +78,7 @@ class BufferPool {
   /// would let tiny requests (8-byte count messages) consume the large
   /// payload buffers and force a fresh payload allocation every step.
   std::vector<std::byte> acquire(std::size_t size) {
-    check_owner();
+    const ExclusiveUse use(*this);
     std::size_t best = free_.size();
     for (std::size_t i = 0; i < free_.size(); ++i) {
       if (free_[i].capacity() < size) continue;
@@ -108,7 +108,7 @@ class BufferPool {
   }
 
   void release(std::vector<std::byte> buf) {
-    check_owner();
+    const ExclusiveUse use(*this);
     if (buf.capacity() > 0) free_.push_back(std::move(buf));
   }
 
@@ -119,15 +119,35 @@ class BufferPool {
 
  private:
 #if defined(PICPRK_EXPENSIVE_CHECKS)
-  void check_owner() {
-    if (owner_ == std::thread::id{}) owner_ = std::this_thread::get_id();
-    PICPRK_ASSERT_MSG(owner_ == std::this_thread::get_id(),
-                      "BufferPool used from a second thread — pools are "
-                      "thread-confined (one per rank)");
-  }
-  std::thread::id owner_{};
+  // Scoped claim on the pool: trips when a second acquire/release runs
+  // concurrently with this one (a real race), not when the pool merely
+  // changed threads between calls.
+  class ExclusiveUse {
+   public:
+    explicit ExclusiveUse(BufferPool& pool) : in_use_(pool.in_use_.flag) {
+      PICPRK_ASSERT_MSG(!in_use_.exchange(true, std::memory_order_acquire),
+                        "BufferPool used concurrently from two threads — a "
+                        "pool has one owner at a time (one per rank or VP)");
+    }
+    ~ExclusiveUse() { in_use_.store(false, std::memory_order_release); }
+    ExclusiveUse(const ExclusiveUse&) = delete;
+    ExclusiveUse& operator=(const ExclusiveUse&) = delete;
+
+   private:
+    std::atomic<bool>& in_use_;
+  };
+  // The flag belongs to one pool object: a copy starts unclaimed.
+  struct InUse {
+    std::atomic<bool> flag{false};
+    InUse() = default;
+    InUse(const InUse&) {}
+    InUse& operator=(const InUse&) { return *this; }
+  };
+  InUse in_use_;
 #else
-  void check_owner() {}
+  struct ExclusiveUse {
+    explicit ExclusiveUse(BufferPool&) {}
+  };
 #endif
 
   std::vector<std::vector<std::byte>> free_;

@@ -272,7 +272,7 @@ DriverResult run_block(comm::Comm& comm, const RunConfig& config) {
       decomp.set_y_bounds(new_b);
     }
     rebuild_slab();
-    exchange_particles(comm, decomp, particles, &tiles, exchange_buffers);
+    exchange_particles(comm, decomp, particles, tiles, exchange_buffers);
     PICPRK_DEBUG("rank " << comm.rank() << " step " << step << ": " << strategy->name()
                          << " moved axis-" << axis << " boundaries");
     return true;
@@ -345,7 +345,7 @@ DriverResult run_block(comm::Comm& comm, const RunConfig& config) {
     {
       obs::Phase phase(obs::kPhaseExchange, &exchange_seconds, inst.lane,
                        inst.exchange);
-      exchange_particles(comm, decomp, particles, &tiles, exchange_buffers);
+      exchange_particles(comm, decomp, particles, tiles, exchange_buffers);
     }
 
     if (lb_every > 0 && step > 0 && step % lb_every == 0) {

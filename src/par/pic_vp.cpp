@@ -58,43 +58,23 @@ void PicVp::step(vpr::VpContext& ctx) {
 
   pic::move_all_tiled(particles_, tiles_, grid, slab_, shared_->init_params.dt);
 
-  // Route emigrants to their owner VPs (static VP decomposition). All
+  // Route emigrants to their owner VPs (static VP decomposition) with
+  // the exchange's post-move split: owner once per tile, emigrant tiles
+  // and tail rows packed into wire records grouped by destination. All
   // routing scratch is VP-owned and reused every step; outgoing byte
   // payloads come from the pool that recycles delivered messages, so
-  // steady-state routing allocates nothing. Keepers compact stably in
-  // place (tile ranges shrink without a re-sort); emigrants leave as
-  // AoS wire records.
-  route_dst_.clear();
-  const std::size_t n = particles_.size();
-  route_owner_.resize(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    route_owner_[i] = shared_->owner_vp(particles_.x[i], particles_.y[i]);
-  }
-  std::size_t w = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    const int owner = route_owner_[i];
-    if (owner == id()) {
-      if (w != i) particles_.move_row(w, i);
-      ++w;
-      continue;
-    }
-    std::size_t b = 0;
-    while (b < route_dst_.size() && route_dst_[b] != owner) ++b;
-    if (b == route_dst_.size()) {
-      route_dst_.push_back(owner);
-      if (route_buckets_.size() < route_dst_.size()) route_buckets_.emplace_back();
-      route_buckets_[b].clear();
-    }
-    route_buckets_[b].push_back(particles_.get(i));
-  }
-  particles_.truncate(w);
-  tiles_.compact_ranges(std::span<const int>(route_owner_.data(), n), id());
-  for (std::size_t b = 0; b < route_dst_.size(); ++b) {
-    const std::vector<pic::Particle>& bucket = route_buckets_[b];
-    sent_particles_ += bucket.size();
-    std::vector<std::byte> bytes = byte_pool_.acquire(bucket.size() * sizeof(pic::Particle));
-    std::memcpy(bytes.data(), bucket.data(), bytes.size());
-    ctx.send(route_dst_[b], std::move(bytes));
+  // steady-state routing allocates nothing.
+  const PicVpShared& shared = *shared_;
+  sent_particles_ += split_emigrants(
+      [&shared](double x, double y) { return shared.owner_vp(x, y); }, id(), particles_,
+      tiles_, route_);
+  const pic::Particle* records = route_.packed.data();
+  for (std::size_t j = 0; j < route_.dsts.size(); ++j) {
+    const std::size_t count = route_.dst_counts[j];
+    std::vector<std::byte> bytes = route_.pool.acquire(count * sizeof(pic::Particle));
+    std::memcpy(bytes.data(), records, bytes.size());
+    records += count;
+    ctx.send(route_.dsts[j], std::move(bytes));
   }
 }
 
@@ -104,11 +84,11 @@ void PicVp::deliver(int /*src_vp*/, std::vector<std::byte> payload) {
   if (count > 0) {
     // Wire records land in the untiled tail; the tile index stays
     // valid and the next move's flat pass covers them.
-    recv_scratch_.resize(count);
-    std::memcpy(recv_scratch_.data(), payload.data(), payload.size());
-    particles_.append(std::span<const pic::Particle>(recv_scratch_));
+    route_.received.resize(count);
+    std::memcpy(route_.received.data(), payload.data(), payload.size());
+    particles_.append(std::span<const pic::Particle>(route_.received));
   }
-  byte_pool_.release(std::move(payload));  // becomes next step's send staging
+  route_.pool.release(std::move(payload));  // becomes next step's send staging
 }
 
 std::vector<int> PicVp::neighbor_vps() const {

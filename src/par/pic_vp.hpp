@@ -12,9 +12,9 @@
 #include <vector>
 
 #include "comm/cart.hpp"
-#include "comm/comm.hpp"
 #include "ft/options.hpp"
 #include "par/driver_common.hpp"
+#include "par/exchange.hpp"
 #include "pic/charge.hpp"
 #include "pic/tiling.hpp"
 #include "vpr/vp.hpp"
@@ -82,11 +82,7 @@ class PicVp final : public vpr::VirtualProcessor {
   std::uint64_t removed_id_sum_ = 0;
   std::uint64_t sent_particles_ = 0;
   // Routing scratch: a migrated VP simply re-warms its buffers.
-  std::vector<int> route_owner_;                           // pup:transient
-  std::vector<std::vector<pic::Particle>> route_buckets_;  // pup:transient
-  std::vector<int> route_dst_;                             // pup:transient
-  std::vector<pic::Particle> recv_scratch_;                // pup:transient
-  comm::BufferPool byte_pool_;                             // pup:transient
+  ExchangeBuffers route_;  // pup:transient
 };
 
 /// The closed-form id checksum a finished vpr-hosted kernel instance

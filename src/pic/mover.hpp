@@ -229,8 +229,10 @@ inline constexpr double kRetileTailFraction = 0.25;
 ///
 /// A dirty index is rebuilt first; rows in the index's untiled tail
 /// (immigrants, injected particles, out-of-region residents) go through
-/// the fused scalar kernel. After the move the index revalidates itself
-/// (see tiling.hpp) so the common uniform-drift case never re-sorts.
+/// the fused scalar kernel. Each tile is relabelled with its new cell
+/// right after its wrap pass (TileIndex::relabel), so the common
+/// uniform-drift case never re-sorts and a scattered tile leaves the
+/// index dirty for the next call.
 template <typename Charges>
 PICPRK_HOT void move_all_tiled(ParticleSoA& soa, TileIndex& tiles, const GridSpec& grid,
                                const Charges& charges, double dt) {
@@ -245,26 +247,29 @@ PICPRK_HOT void move_all_tiled(ParticleSoA& soa, TileIndex& tiles, const GridSpe
   double* const vy = soa.vy.data();
   const double* const q = soa.q.data();
 
-  for (const TileIndex::Tile& t : tiles.tiles()) {
-    const std::size_t begin = t.begin;
-    const std::size_t end = t.end;
-    const CornerCharges c = corner_charges(charges, t.cx, t.cy);
-    const double base_x = static_cast<double>(t.cx) * h;
-    const double base_y = static_cast<double>(t.cy) * h;
+  const std::span<const TileIndex::Tile> tile_list = tiles.tiles();
+  for (std::size_t t = 0; t < tile_list.size(); ++t) {
+    const TileIndex::Tile tile = tile_list[t];
+    const std::size_t begin = tile.begin;
+    const std::size_t end = tile.end;
+    const CornerCharges c = corner_charges(charges, tile.cx, tile.cy);
+    const double base_x = static_cast<double>(tile.cx) * h;
+    const double base_y = static_cast<double>(tile.cy) * h;
     move_tile(x + begin, y + begin, vx + begin, vy + begin, q + begin, end - begin,
               base_x, base_y, c, h, dt);
-    // Periodic wrap: branchy, so a separate scalar pass.
+    // Periodic wrap: branchy, so a separate scalar pass. The tile's new
+    // cell is read while its rows are still in cache.
     for (std::size_t i = begin; i < end; ++i) {
       x[i] = wrap(x[i], length);
       y[i] = wrap(y[i], length);
     }
+    if (tiles.fresh()) tiles.relabel(t, soa, grid);
   }
 
   const std::size_t n = soa.size();
   for (std::size_t i = tiles.tail_begin(); i < n; ++i) {
     move_scalars(x[i], y[i], vx[i], vy[i], q[i], grid, charges, dt);
   }
-  tiles.revalidate_after_move(soa, grid);
 }
 
 // ------------------------------------------------------------ reference

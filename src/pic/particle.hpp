@@ -18,6 +18,7 @@
 // below fails the build if the list and the struct ever disagree.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <span>
@@ -151,10 +152,13 @@ struct ParticleSoA {
 #undef PICPRK_FIELD
   }
 
-  /// Stable compaction: moves row `from` into slot `to` (to <= from).
-  void move_row(std::size_t to, std::size_t from) {
-    if (to == from) return;
-#define PICPRK_FIELD(type, name, init) name[to] = name[from];
+  /// Stable compaction: moves rows [from, from + count) into
+  /// [to, to + count), column by column (to <= from; the ranges may
+  /// overlap).
+  void move_rows(std::size_t to, std::size_t from, std::size_t count) {
+    if (to == from || count == 0) return;
+#define PICPRK_FIELD(type, name, init) \
+  std::copy(name.data() + from, name.data() + from + count, name.data() + to);
     PICPRK_PARTICLE_FIELDS(PICPRK_FIELD)
 #undef PICPRK_FIELD
   }

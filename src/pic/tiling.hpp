@@ -11,16 +11,27 @@
 //
 //  * rebuild()    — counting-sort the store by cell; rows whose cell
 //                   falls outside the region land in an untiled tail.
-//  * revalidate_after_move() — after a move, each tile's particles have
-//                   usually drifted TOGETHER into one new cell (the
-//                   PRK's motion is a uniform hop of (2k+1, m) cells for
-//                   particles sharing (k, m, dir) — see verify.hpp
-//                   Eqs. 5–6), so the grouping survives; this pass
-//                   relabels each tile from its members and only marks
-//                   the index dirty when a tile really scattered.
-//  * compact_ranges() — the particle exchange removes emigrants by
-//                   stable compaction; tile ranges shrink accordingly
-//                   without re-sorting. Immigrants append to the tail.
+//  * relabel()    — after a move, each tile's particles have usually
+//                   drifted TOGETHER into one new cell (the PRK's motion
+//                   is a uniform hop of (2k+1, m) cells for particles
+//                   sharing (k, m, dir) — see verify.hpp Eqs. 5–6), so
+//                   the grouping survives. The tiled mover relabels each
+//                   tile right after moving it, while its rows are still
+//                   in cache, and marks the index dirty only when a tile
+//                   really scattered. revalidate_after_move() runs the
+//                   same check over every tile, for callers that moved
+//                   the store some other way.
+//  * remove()     — after a move, ownership is a per-tile fact, so the
+//                   particle exchange and the VP routing hand over whole
+//                   emigrant tiles plus single emigrant tail rows. The
+//                   holes emigrant tiles leave are filled with keeper
+//                   rows taken from the end of the tiled region (each
+//                   filled piece becomes a tile of its donor's cell),
+//                   and the tail compacts stably behind the tiles: the
+//                   rows moved are bounded by the emigrant rows plus the
+//                   tail, not by the store. Keepers therefore do NOT keep
+//                   their relative order across tiles. Immigrants append
+//                   to the tail.
 //
 // Policy (when to rebuild vs. ride the tail) lives with the caller; the
 // mover rebuilds a dirty index and flat-moves the tail, so correctness
@@ -28,6 +39,7 @@
 // model.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <span>
@@ -38,6 +50,14 @@
 #include "util/assert.hpp"
 
 namespace picprk::pic {
+
+/// Rows [begin, end) of a store that leave it for `dst` (a rank or a VP
+/// id): the unit the post-move split hands to TileIndex::remove.
+struct RowRun {
+  std::size_t begin = 0;
+  std::size_t end = 0;
+  int dst = 0;
+};
 
 class TileIndex {
  public:
@@ -146,47 +166,117 @@ class TileIndex {
     dirty_ = false;
   }
 
-  /// After a move: relabel each tile from its members' new cells. The
-  /// canonical PRK motion shifts a whole tile into one new cell, so this
-  /// O(n) scan (two multiply-and-truncate per row) replaces a re-sort.
-  /// Returns false — and marks the index dirty — if any tile scattered
-  /// across cells (mixed per-particle (k, m, dir) populations do this).
+  /// After tile `t` moved: relabels it from its rows' new cells. Returns
+  /// false — and marks the index dirty — if the rows now span more than
+  /// one cell (mixed per-particle (k, m, dir) populations do this). Two
+  /// cell lookups per row, over rows the mover has just touched.
+  bool relabel(std::size_t t, const ParticleSoA& soa, const GridSpec& grid) {
+    Tile& tile = tiles_[t];
+    const std::int64_t cx = grid.cell_of(soa.x[tile.begin]);
+    const std::int64_t cy = grid.cell_of(soa.y[tile.begin]);
+    for (std::size_t i = tile.begin + 1; i < tile.end; ++i) {
+      if (grid.cell_of(soa.x[i]) != cx || grid.cell_of(soa.y[i]) != cy) {
+        dirty_ = true;
+        return false;
+      }
+    }
+    tile.cx = cx;
+    tile.cy = cy;
+    return true;
+  }
+
+  /// relabel() over every tile, for a store moved by something other
+  /// than the tiled mover (which relabels as it goes). Returns false,
+  /// with the index dirty, at the first scattered tile.
   bool revalidate_after_move(const ParticleSoA& soa, const GridSpec& grid) {
     if (dirty_) return false;
-    for (Tile& t : tiles_) {
-      const std::int64_t cx = grid.cell_of(soa.x[t.begin]);
-      const std::int64_t cy = grid.cell_of(soa.y[t.begin]);
-      for (std::size_t i = t.begin; i < t.end; ++i) {
-        if (grid.cell_of(soa.x[i]) != cx || grid.cell_of(soa.y[i]) != cy) {
-          dirty_ = true;
-          return false;
-        }
-      }
-      t.cx = cx;
-      t.cy = cy;
+    for (std::size_t t = 0; t < tiles_.size(); ++t) {
+      if (!relabel(t, soa, grid)) return false;
     }
     return true;
   }
 
-  /// After a stable keeper-compaction (exchange): row i survived iff
-  /// owner[i] == me. Shrinks every tile range in place — grouping and
-  /// order are preserved by stability, so no re-sort is needed. `owner`
-  /// is indexed by PRE-compaction rows and must cover the old store.
-  void compact_ranges(std::span<const int> owner, int me) {
-    if (dirty_) return;
-    std::size_t removed_before = 0;
-    for (Tile& t : tiles_) {
-      std::size_t removed_here = 0;
-      for (std::size_t i = t.begin; i < t.end; ++i) {
-        if (owner[i] != me) ++removed_here;
-      }
-      t.begin -= removed_before;
-      removed_before += removed_here;
-      t.end -= removed_before;
+  /// Removes the emigrant rows listed in `runs` and returns the number
+  /// of keeper rows it moved (at most the emigrant rows plus the tail).
+  /// `runs` are disjoint and in store order; below tail_begin() each run
+  /// is exactly one whole tile, at or above it any rows. A dirty index
+  /// counts as all tail: the whole store compacts stably and the index
+  /// stays dirty.
+  ///
+  /// Holes left by emigrant tiles inside the new tiled region
+  /// [0, tail_begin() − emigrant tile rows) are filled, in order, with
+  /// the keeper rows above that bound; each filled piece becomes a tile
+  /// labelled with its donor's cell (merged with an adjacent tile of the
+  /// same cell). The tail then compacts stably behind the tiles.
+  std::size_t remove(ParticleSoA& soa, std::span<const RowRun> runs) {
+    const std::size_t n = soa.size();
+    const std::size_t tiled_end = dirty_ ? 0 : tiled_end_;
+    std::size_t moved = 0;
+
+    // Which tiles leave, and how many rows they take with them.
+    std::size_t r = 0;
+    std::size_t leaving_rows = 0;
+    leaving_.assign(dirty_ ? 0 : tiles_.size(), 0);
+    for (std::size_t t = 0; t < leaving_.size() && r < runs.size(); ++t) {
+      if (runs[r].begin != tiles_[t].begin) continue;
+      PICPRK_ASSERT(runs[r].end == tiles_[t].end);
+      leaving_[t] = 1;
+      leaving_rows += tiles_[t].end - tiles_[t].begin;
+      ++r;
     }
-    tiled_end_ -= removed_before;
-    // Drop tiles the exchange emptied entirely.
-    std::erase_if(tiles_, [](const Tile& t) { return t.begin == t.end; });
+    PICPRK_ASSERT(r == runs.size() || runs[r].begin >= tiled_end);
+    const std::size_t new_end = tiled_end - leaving_rows;
+
+    // Fill holes below new_end from the keeper rows at or above it.
+    // Both walks go forward, and every donor row sits above every hole.
+    kept_.clear();
+    std::size_t donor = 0;
+    while (donor < leaving_.size() && tiles_[donor].end <= new_end) ++donor;
+    const auto next_keeper = [&](std::size_t t) {
+      while (t < leaving_.size() && leaving_[t] != 0) ++t;
+      return t;
+    };
+    donor = next_keeper(donor);
+    std::size_t from =
+        donor < leaving_.size() ? std::max(tiles_[donor].begin, new_end) : 0;
+    for (std::size_t t = 0; t < leaving_.size() && tiles_[t].begin < new_end; ++t) {
+      const std::size_t end = std::min(tiles_[t].end, new_end);
+      if (leaving_[t] == 0) {
+        keep(tiles_[t].cx, tiles_[t].cy, tiles_[t].begin, end);
+        continue;
+      }
+      for (std::size_t hole = tiles_[t].begin; hole < end;) {
+        const Tile& d = tiles_[donor];
+        const std::size_t count = std::min(end - hole, d.end - from);
+        soa.move_rows(hole, from, count);
+        keep(d.cx, d.cy, hole, hole + count);
+        moved += count;
+        hole += count;
+        from += count;
+        if (from == d.end) {
+          donor = next_keeper(donor + 1);
+          if (donor < leaving_.size()) from = tiles_[donor].begin;
+        }
+      }
+    }
+
+    // Stable tail compaction: keeper blocks between the tail runs.
+    std::size_t w = new_end;
+    std::size_t i = tiled_end;
+    for (; r <= runs.size(); ++r) {
+      const std::size_t stop = r < runs.size() ? runs[r].begin : n;
+      soa.move_rows(w, i, stop - i);
+      if (w != i) moved += stop - i;
+      w += stop - i;
+      if (r < runs.size()) i = runs[r].end;
+    }
+    soa.truncate(w);
+
+    if (!dirty_) {
+      tiles_.swap(kept_);
+      tiled_end_ = new_end;
+    }
+    return moved;
   }
 
   /// Structural invariant, for tests and PICPRK_EXPENSIVE_CHECKS sweeps:
@@ -216,6 +306,17 @@ class TileIndex {
   // cost is unreasonable for any realistic population.
   static constexpr std::size_t kMaxBuckets = std::size_t{1} << 24;
 
+  // Appends [begin, end) of cell (cx, cy) to the tile list remove()
+  // builds, extending the last tile when it is the same cell.
+  void keep(std::int64_t cx, std::int64_t cy, std::size_t begin, std::size_t end) {
+    if (!kept_.empty() && kept_.back().cx == cx && kept_.back().cy == cy &&
+        kept_.back().end == begin) {
+      kept_.back().end = end;
+      return;
+    }
+    kept_.push_back(Tile{cx, cy, begin, end});
+  }
+
   template <typename T>
   void permute(std::vector<T>& column, std::vector<T>& tmp) {
     const std::size_t n = column.size();
@@ -237,6 +338,8 @@ class TileIndex {
   bool dirty_ = true;
 
   std::vector<std::size_t> key_, counts_, starts_, dest_;
+  std::vector<Tile> kept_;              // remove()'s new tile list
+  std::vector<unsigned char> leaving_;  // remove()'s per-tile flag
   std::vector<double> scratch_f64_;
   std::vector<std::int32_t> scratch_i32_;
   std::vector<std::uint32_t> scratch_u32_;

@@ -8,6 +8,7 @@
 #include <cstdint>
 #include <numeric>
 #include <span>
+#include <thread>
 #include <vector>
 
 #include "comm/comm.hpp"
@@ -184,6 +185,21 @@ TEST(Alltoallv, BufferPoolStopsAllocatingOnRepeatedRounds) {
     EXPECT_EQ(pool.allocations(), after_warmup)
         << "steady-state rounds must reuse pooled buffers";
   });
+}
+
+TEST(Alltoallv, BufferPoolMayChangeThreadsBetweenCalls) {
+  // A VP acquires send staging in step() and releases delivered payloads
+  // in deliver(), and the vpr runtime may run those on different
+  // workers. Handing a pool from thread to thread between calls is legal
+  // (only overlapping calls are a race), so an expensive-checks build
+  // must accept it.
+  BufferPool pool;
+  std::vector<std::byte> staged;
+  std::thread([&] { staged = pool.acquire(256); }).join();
+  std::thread([&] { pool.release(std::move(staged)); }).join();
+  EXPECT_EQ(pool.pooled(), 1u);
+  EXPECT_EQ(pool.acquire(128).size(), 128u);
+  EXPECT_EQ(pool.allocations(), 1u) << "the released buffer is reused";
 }
 
 }  // namespace

@@ -1,11 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 
 #include "comm/world.hpp"
 #include "par/exchange.hpp"
 #include "pic/init.hpp"
 #include "pic/mover.hpp"
+#include "pic/tiling.hpp"
 #include "pic/verify.hpp"
 
 namespace {
@@ -215,6 +217,76 @@ TEST(Exchange, ByteAccountingMatchesTraffic) {
       EXPECT_EQ(stats.bytes, 10u * sizeof(Particle));
     } else {
       EXPECT_EQ(stats.received, 10u);
+    }
+  });
+}
+
+TEST(Exchange, TiledSoAMatchesAoS) {
+  // The SoA overload decides ownership per tile and fills emigrant holes
+  // from the end of the tiled region, so its keeper order differs from
+  // the AoS overload's — but each rank must hold the same particles with
+  // the same state, report the same traffic, and leave a valid index.
+  // Three steps run on a fresh index (the tail holds the immigrants of
+  // the step before); the fourth exchange runs on a dirty index.
+  World world(4);
+  world.run([](Comm& comm) {
+    GridSpec grid(64, 1.0);
+    Cart2D cart(comm.size());
+    Decomposition2D decomp(grid, cart);
+    const auto block = decomp.block_of(comm.rank());
+
+    InitParams params;
+    params.grid = grid;
+    params.total_particles = 16000;
+    params.distribution = picprk::pic::Uniform{};
+    params.m = 1;  // one cell right and one up per step: three destinations
+    const Initializer init(params);
+    std::vector<Particle> aos = init.create_block(block.x0, block.x1, block.y0, block.y1);
+    picprk::pic::ParticleSoA soa = picprk::pic::to_soa(aos);
+    picprk::pic::TileIndex tiles(block);
+
+    const picprk::pic::AlternatingColumnCharges charges;
+    picprk::par::ExchangeBuffers aos_buffers, soa_buffers;
+    const auto by_id = [](std::vector<Particle> records) {
+      std::sort(records.begin(), records.end(),
+                [](const Particle& a, const Particle& b) { return a.id < b.id; });
+      return records;
+    };
+    for (int step = 0; step < 4; ++step) {
+      picprk::pic::move_all(std::span<Particle>(aos), grid, charges, params.dt);
+      picprk::pic::move_all_tiled(soa, tiles, grid, charges, params.dt);
+      const bool fresh = step < 3;
+      if (fresh) {
+        ASSERT_TRUE(tiles.fresh()) << "a uniform hop keeps every tile whole";
+        if (step > 0) {
+          ASSERT_LT(tiles.tail_begin(), soa.size())
+              << "the tail holds last step's immigrants";
+        }
+      } else {
+        tiles.mark_dirty();
+      }
+
+      const auto a = exchange_particles(comm, decomp, aos, aos_buffers);
+      const auto b = exchange_particles(comm, decomp, soa, tiles, soa_buffers);
+
+      EXPECT_GT(a.sent, 0u);
+      EXPECT_EQ(a.sent, b.sent);
+      EXPECT_EQ(a.received, b.received);
+      EXPECT_EQ(a.bytes, b.bytes);
+      EXPECT_EQ(tiles.fresh(), fresh);
+      if (fresh) {
+        EXPECT_TRUE(tiles.check(soa, grid));
+      }
+      const std::vector<Particle> want = by_id(aos);
+      const std::vector<Particle> got = by_id(picprk::pic::to_aos(soa));
+      ASSERT_EQ(got.size(), want.size());
+      for (std::size_t i = 0; i < want.size(); ++i) {
+        ASSERT_EQ(got[i].id, want[i].id);
+        EXPECT_EQ(got[i].x, want[i].x);
+        EXPECT_EQ(got[i].y, want[i].y);
+        EXPECT_EQ(got[i].vx, want[i].vx);
+        EXPECT_EQ(got[i].vy, want[i].vy);
+      }
     }
   });
 }

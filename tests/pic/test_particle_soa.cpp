@@ -90,13 +90,13 @@ TEST(ParticleSoA, SwapRemoveKeepsAllColumnsInLockstep) {
 }
 
 TEST(ParticleSoA, MoveRowAndTruncateImplementStableCompaction) {
-  // Drop the even ids the way the exchange drops emigrants: stable
-  // keeper compaction via move_row + truncate.
+  // Drop the even ids the way the exchange compacts its untiled tail:
+  // stable keeper compaction via move_rows + truncate.
   ParticleSoA soa = pic::to_soa(make_particles(10));
   std::size_t w = 0;
   for (std::size_t i = 0; i < soa.size(); ++i) {
     if (soa.id[i] % 2 == 0) continue;
-    soa.move_row(w, i);
+    soa.move_rows(w, i, 1);
     ++w;
   }
   soa.truncate(w);

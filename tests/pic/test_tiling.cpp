@@ -1,12 +1,13 @@
 // The cell tile index over the SoA store: the counting-sort rebuild
 // (stability, exact-once coverage, out-of-region tail), the post-move
-// revalidation that replaces per-step re-sorts, and the range compaction
-// that keeps the index alive through particle exchanges.
+// revalidation that replaces per-step re-sorts, and the tile-granular
+// emigrant removal that keeps the index alive through particle exchanges.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstddef>
 #include <map>
+#include <set>
 #include <span>
 #include <vector>
 
@@ -129,30 +130,82 @@ TEST(TileIndex, RevalidateDetectsAScatteredTileAndMarksDirty) {
   EXPECT_FALSE(tiles.check(soa, kGrid));
 }
 
-TEST(TileIndex, CompactRangesSurvivesAStableKeeperCompaction) {
+/// Runs for TileIndex::remove: every third tile leaves whole, and every
+/// other tail row from `tail_stride` on leaves on its own.
+std::vector<pic::RowRun> emigrant_runs(const TileIndex& tiles, std::size_t n) {
+  std::vector<pic::RowRun> runs;
+  const auto list = tiles.tiles();
+  for (std::size_t t = 0; t < list.size(); t += 3) {
+    runs.push_back({list[t].begin, list[t].end, 1});
+  }
+  for (std::size_t i = tiles.fresh() ? tiles.tail_begin() : 0; i < n; i += 2) {
+    if (!runs.empty() && runs.back().end > i) continue;
+    runs.push_back({i, i + 1, 1});
+  }
+  return runs;
+}
+
+TEST(TileIndex, RemoveFillsEmigrantTileHolesFromTheEndOfTheTiledRegion) {
   const CellRegion region{0, 8, 0, 8};
-  ParticleSoA soa = populate(region, 120, /*with_strays=*/false);
+  ParticleSoA soa = populate(region, 300, /*with_strays=*/false);
   TileIndex tiles(region);
   tiles.rebuild(soa, kGrid);
-
-  // Every third row "emigrates" (owner 1); keepers compact stably the
-  // way the exchange does it.
-  const std::size_t n = soa.size();
-  std::vector<int> owner(n, 0);
-  for (std::size_t i = 0; i < n; i += 3) owner[i] = 1;
-  std::size_t w = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    if (owner[i] != 0) continue;
-    soa.move_row(w, i);
-    ++w;
+  // Immigrants since the rebuild form the tail.
+  std::vector<Particle> immigrants;
+  for (std::uint64_t i = 0; i < 20; ++i) {
+    immigrants.push_back(in_cell(static_cast<std::int64_t>(i % 8), 3, 1000 + i));
   }
-  soa.truncate(w);
-  tiles.compact_ranges(std::span<const int>(owner), 0);
+  soa.append(std::span<const Particle>(immigrants));
+  const std::size_t tail_rows = soa.size() - tiles.tail_begin();
 
-  EXPECT_TRUE(tiles.fresh());
+  const std::vector<pic::RowRun> runs = emigrant_runs(tiles, soa.size());
+  std::multiset<std::uint64_t> expected(soa.id.begin(), soa.id.end());
+  std::size_t emigrant_rows = 0;
+  for (const pic::RowRun& run : runs) {
+    emigrant_rows += run.end - run.begin;
+    for (std::size_t i = run.begin; i < run.end; ++i) {
+      expected.erase(expected.find(soa.id[i]));
+    }
+  }
+  ASSERT_GT(emigrant_rows, tail_rows);
+
+  const std::size_t moved = tiles.remove(soa, std::span<const pic::RowRun>(runs));
+
+  // Exactly the keepers remain, the tiles partition [0, tail_begin())
+  // with labels matching their rows, and the work is bounded by the
+  // emigrants plus the tail — not by the store.
+  EXPECT_EQ(std::multiset<std::uint64_t>(soa.id.begin(), soa.id.end()), expected);
+  ASSERT_TRUE(tiles.fresh());
   EXPECT_TRUE(tiles.check(soa, kGrid));
-  EXPECT_EQ(tiles.tail_begin(), soa.size());
-  for (const TileIndex::Tile& t : tiles.tiles()) EXPECT_GT(t.end, t.begin);
+  std::size_t covered = 0;
+  for (const TileIndex::Tile& t : tiles.tiles()) {
+    EXPECT_EQ(t.begin, covered);
+    EXPECT_GT(t.end, t.begin);
+    for (std::size_t i = t.begin; i < t.end; ++i) {
+      EXPECT_EQ(kGrid.cell_of(soa.x[i]), t.cx);
+      EXPECT_EQ(kGrid.cell_of(soa.y[i]), t.cy);
+    }
+    covered = t.end;
+  }
+  EXPECT_EQ(covered, tiles.tail_begin());
+  EXPECT_LE(moved, emigrant_rows + tail_rows);
+  // The surviving tail rows keep their order behind the tiles.
+  for (std::size_t i = tiles.tail_begin() + 1; i < soa.size(); ++i) {
+    EXPECT_LT(soa.id[i - 1], soa.id[i]);
+  }
+}
+
+TEST(TileIndex, RemoveOnADirtyIndexCompactsTheWholeStoreStably) {
+  const CellRegion region{0, 8, 0, 8};
+  ParticleSoA soa = populate(region, 60, /*with_strays=*/false);
+  TileIndex tiles(region);  // never built: dirty, so every row is tail
+  const std::vector<pic::RowRun> runs = emigrant_runs(tiles, soa.size());
+
+  tiles.remove(soa, std::span<const pic::RowRun>(runs));
+
+  EXPECT_FALSE(tiles.fresh());
+  ASSERT_EQ(soa.size(), 30u);
+  for (std::size_t i = 0; i < soa.size(); ++i) EXPECT_EQ(soa.id[i], 2 * i + 2);
 }
 
 TEST(TileIndex, AppendedRowsLandInTheTailWithoutDirtyingTheIndex) {
