@@ -1,8 +1,8 @@
-// First-exception capture for thread teams. Three subsystems (the
-// threadcomm World, the work-stealing pool, the vpr worker pool) each
-// carried their own mutex + exception_ptr + atomic-failed triple; this is
-// that pattern once, with the locking discipline enforced by the Clang
-// thread-safety analysis instead of by convention.
+// First-exception capture for thread teams. The threadcomm World and
+// the work-stealing pool each carried their own mutex + exception_ptr +
+// atomic-failed triple; this is that pattern once, with the locking
+// discipline enforced by the Clang thread-safety analysis instead of by
+// convention.
 //
 // Usage: workers call record() from their catch(...) blocks; the owner
 // polls failed() on its fast path (a relaxed atomic read, no lock) and

@@ -1,10 +1,11 @@
 // Per-VP inbox for incremental (iexchange-style) delivery outside the
-// barrier-separated superstep runtime. The async engine (par/async)
-// drains the wire while VPs are still computing; a payload produced in
-// step s may only reach VP B after B has finished its own step-s
-// compute (otherwise B would move the arriving particles a second
-// time). StepInbox holds the early arrivals and flushes them at exactly
-// that point, keeping the eligibility rule in one place.
+// superstep runtime, which delivers only after every VP has stepped.
+// The async engine (par/async) drains the wire while VPs are still
+// computing; a payload produced in step s may only reach VP B after B
+// has finished its own step-s compute (otherwise B would move the
+// arriving particles a second time). StepInbox holds the early
+// arrivals and flushes them at exactly that point, keeping the
+// eligibility rule in one place.
 #pragma once
 
 #include <cstddef>

@@ -1,24 +1,20 @@
 #include "vpr/runtime.hpp"
 
 #include <algorithm>
-#include <barrier>
 #include <stdexcept>
-#include <thread>
 
 #include "lb/placement.hpp"
 #include "lb/registry.hpp"
 #include "util/assert.hpp"
-#include "util/first_error.hpp"
 #include "util/log.hpp"
 #include "util/stats.hpp"
-#include "util/thread_annotations.hpp"
 #include "util/timer.hpp"
 
 namespace picprk::vpr {
 
 namespace {
 
-/// VpContext bound to one worker's outbox for one superstep.
+/// VpContext bound to one VP's outbox for one superstep.
 class OutboxContext final : public VpContext {
  public:
   OutboxContext(std::vector<VpMessage>& outbox, int src_vp, std::uint32_t step, int vps)
@@ -41,85 +37,8 @@ class OutboxContext final : public VpContext {
 
 }  // namespace
 
-/// Persistent worker pool: threads are spawned once and parked between
-/// run() calls; each run() dispatches a batch of supersteps. Phases
-/// within a superstep synchronize on a std::barrier. (The first version
-/// of this runtime spawned threads per superstep — measurably wasteful
-/// for the 6,000-step runs of the paper's experiments.)
-struct Runtime::Pool {
-  explicit Pool(Runtime& rt)
-      : runtime(rt), barrier(rt.config_.workers) {
-    threads.reserve(static_cast<std::size_t>(rt.config_.workers));
-    for (int w = 0; w < rt.config_.workers; ++w) {
-      threads.emplace_back([this, w] { worker_loop(w); });
-    }
-  }
-
-  ~Pool() {
-    {
-      util::LockGuard lock(mutex);
-      shutdown = true;
-    }
-    cv.notify_all();
-    for (auto& t : threads) t.join();
-  }
-
-  void dispatch(std::uint32_t first_step, std::uint32_t steps) {
-    {
-      util::LockGuard lock(mutex);
-      job_first_step = first_step;
-      job_steps = steps;
-      done_count = 0;
-      ++generation;
-    }
-    cv.notify_all();
-    {
-      util::LockGuard lock(mutex);
-      while (done_count != runtime.config_.workers) done_cv.wait(mutex);
-    }
-    error.rethrow_if_any();  // clears, so the pool is reusable after a failure
-  }
-
-  void worker_loop(int w) {
-    std::uint64_t my_generation = 0;
-    for (;;) {
-      std::uint32_t first = 0, steps = 0;
-      {
-        util::LockGuard lock(mutex);
-        while (!shutdown && generation <= my_generation) cv.wait(mutex);
-        if (shutdown) return;
-        my_generation = generation;
-        first = job_first_step;
-        steps = job_steps;
-      }
-      for (std::uint32_t s = 0; s < steps; ++s) {
-        runtime.superstep_worker(w, first + s, *this);
-      }
-      {
-        util::LockGuard lock(mutex);
-        ++done_count;
-      }
-      done_cv.notify_all();
-    }
-  }
-
-  Runtime& runtime;
-  std::barrier<> barrier;
-  std::vector<std::thread> threads;
-
-  util::Mutex mutex;
-  util::CondVar cv;       ///< workers wait here for the next job
-  util::CondVar done_cv;  ///< dispatch waits here for batch completion
-  bool shutdown PICPRK_GUARDED_BY(mutex) = false;
-  std::uint64_t generation PICPRK_GUARDED_BY(mutex) = 0;
-  std::uint32_t job_first_step PICPRK_GUARDED_BY(mutex) = 0;
-  std::uint32_t job_steps PICPRK_GUARDED_BY(mutex) = 0;
-  int done_count PICPRK_GUARDED_BY(mutex) = 0;
-  util::FirstError error;  ///< first exception thrown inside a superstep
-};
-
 Runtime::Runtime(RuntimeConfig config, const Factory& factory)
-    : config_(config), factory_(factory) {
+    : config_(config), factory_(factory), pool_(config.workers) {
   PICPRK_EXPECTS(config_.workers >= 1);
   PICPRK_EXPECTS(config_.vps >= config_.workers);
   balancer_ = lb::make_strategy(config_.balancer);
@@ -132,7 +51,7 @@ Runtime::Runtime(RuntimeConfig config, const Factory& factory)
   vp_worker_.resize(static_cast<std::size_t>(config_.vps));
   vp_measured_seconds_.assign(static_cast<std::size_t>(config_.vps), 0.0);
   inboxes_.resize(static_cast<std::size_t>(config_.vps));
-  outboxes_.resize(static_cast<std::size_t>(config_.workers));
+  outboxes_.resize(static_cast<std::size_t>(config_.vps));
   for (int v = 0; v < config_.vps; ++v) {
     vps_.push_back(factory_(v));
     PICPRK_ASSERT_MSG(vps_.back() != nullptr, "vp factory returned null");
@@ -164,10 +83,7 @@ Runtime::Runtime(RuntimeConfig config, const Factory& factory)
       lb_invocations_counter_ = &reg.register_counter("vpr/lb_invocations");
     }
   }
-  if (config_.workers > 1) pool_ = std::make_unique<Pool>(*this);
 }
-
-Runtime::~Runtime() = default;
 
 int Runtime::worker_of(int vp) const {
   PICPRK_EXPECTS(vp >= 0 && vp < config_.vps);
@@ -189,51 +105,42 @@ void Runtime::rewind(std::uint32_t step) {
 
 void Runtime::run(std::uint32_t steps) {
   util::Timer wall;
-  if (config_.workers == 1) {
-    // Inline path: no pool, no barriers.
-    for (std::uint32_t s = 0; s < steps; ++s) {
-      step_phase(0, current_step_);
-      route_messages();
-      deliver_phase(0);
-      maybe_balance(current_step_);
-      ++current_step_;
-      ++stats_.steps;
-    }
-  } else {
-    pool_->dispatch(current_step_, steps);
-    current_step_ += steps;
-    stats_.steps += steps;
+  const std::size_t count = vps_.size();
+  for (std::uint32_t s = 0; s < steps; ++s) {
+    const std::uint32_t step = current_step_;
+    pool_.run_placed(
+        count, vp_worker_,
+        [this, step](std::size_t v, int) { step_vp(static_cast<int>(v), step); },
+        /*allow_steal=*/false);
+    route_messages();
+    pool_.run_placed(
+        count, vp_worker_, [this](std::size_t v, int) { deliver_vp(static_cast<int>(v)); },
+        /*allow_steal=*/false);
+    maybe_balance(step);
+    ++current_step_;
+    ++stats_.steps;
   }
   stats_.step_seconds += wall.elapsed();
 }
 
-void Runtime::step_phase(int w, std::uint32_t global_step) {
-  auto& outbox = outboxes_[static_cast<std::size_t>(w)];
-  for (int v = 0; v < config_.vps; ++v) {
-    if (vp_worker_[static_cast<std::size_t>(v)] != w) continue;
-    OutboxContext ctx(outbox, v, global_step, config_.vps);
-    // The Phase accumulates into the measured-load vector the balancer
-    // consumes — the telemetry and LB input share one clock read.
-    obs::Phase phase(obs::kPhaseStep, &vp_measured_seconds_[static_cast<std::size_t>(v)],
-                     vp_lanes_.empty() ? nullptr : vp_lanes_[static_cast<std::size_t>(v)],
-                     step_hist_);
-    vps_[static_cast<std::size_t>(v)]->step(ctx);
-  }
+void Runtime::step_vp(int v, std::uint32_t global_step) {
+  const auto i = static_cast<std::size_t>(v);
+  OutboxContext ctx(outboxes_[i], v, global_step, config_.vps);
+  // The Phase accumulates into the measured-load vector the balancer
+  // consumes — the telemetry and LB input share one clock read.
+  obs::Phase phase(obs::kPhaseStep, &vp_measured_seconds_[i],
+                   vp_lanes_.empty() ? nullptr : vp_lanes_[i], step_hist_);
+  vps_[i]->step(ctx);
 }
 
-void Runtime::deliver_phase(int w) {
-  for (int v = 0; v < config_.vps; ++v) {
-    if (vp_worker_[static_cast<std::size_t>(v)] != w) continue;
-    auto& inbox = inboxes_[static_cast<std::size_t>(v)];
-    if (inbox.empty()) continue;
-    obs::Phase phase(obs::kPhaseDeliver, nullptr,
-                     vp_lanes_.empty() ? nullptr : vp_lanes_[static_cast<std::size_t>(v)],
-                     deliver_hist_);
-    for (auto& msg : inbox) {
-      vps_[static_cast<std::size_t>(v)]->deliver(msg.src, std::move(msg.payload));
-    }
-    inbox.clear();
-  }
+void Runtime::deliver_vp(int v) {
+  const auto i = static_cast<std::size_t>(v);
+  auto& inbox = inboxes_[i];
+  if (inbox.empty()) return;
+  obs::Phase phase(obs::kPhaseDeliver, nullptr, vp_lanes_.empty() ? nullptr : vp_lanes_[i],
+                   deliver_hist_);
+  for (auto& msg : inbox) vps_[i]->deliver(msg.src, std::move(msg.payload));
+  inbox.clear();
 }
 
 void Runtime::maybe_balance(std::uint32_t global_step) {
@@ -243,30 +150,12 @@ void Runtime::maybe_balance(std::uint32_t global_step) {
   }
 }
 
-void Runtime::superstep_worker(int w, std::uint32_t global_step, Pool& pool) {
-  auto guarded = [&](auto&& fn) {
-    if (pool.error.failed()) return;
-    try {
-      fn();
-    } catch (...) {
-      pool.error.record_current();
-    }
-  };
-
-  guarded([&] { step_phase(w, global_step); });
-  pool.barrier.arrive_and_wait();
-  if (w == 0) guarded([&] { route_messages(); });
-  pool.barrier.arrive_and_wait();
-  guarded([&] { deliver_phase(w); });
-  pool.barrier.arrive_and_wait();
-  if (w == 0) guarded([&] { maybe_balance(global_step); });
-  pool.barrier.arrive_and_wait();
-}
-
 void Runtime::route_messages() {
   const std::uint64_t messages_before = stats_.messages;
   const std::uint64_t bytes_before = stats_.message_bytes;
   const std::uint64_t cross_before = stats_.cross_worker_bytes;
+  // Ascending source order: what a VP receives, and in which order,
+  // does not depend on where the balancer placed the senders.
   for (auto& outbox : outboxes_) {
     for (auto& msg : outbox) {
       ++stats_.messages;

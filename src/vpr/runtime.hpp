@@ -15,6 +15,7 @@
 #include "lb/strategy.hpp"
 #include "obs/phase.hpp"
 #include "vpr/vp.hpp"
+#include "ws/pool.hpp"
 
 namespace picprk::vpr {
 
@@ -62,13 +63,13 @@ class Runtime {
 
   /// Creates the VPs via `factory` and places them blockwise on workers.
   Runtime(RuntimeConfig config, const Factory& factory);
-  ~Runtime();
 
   Runtime(const Runtime&) = delete;
   Runtime& operator=(const Runtime&) = delete;
 
   /// Executes `steps` supersteps (step → deliver → [LB]). May be called
-  /// repeatedly; stats accumulate.
+  /// repeatedly; stats accumulate. When a superstep throws, the clock
+  /// and stats().steps stand at the last superstep that completed.
   void run(std::uint32_t steps);
 
   const RuntimeStats& stats() const { return stats_; }
@@ -91,10 +92,9 @@ class Runtime {
   /// retires `worker` from the live set and immediately re-places its
   /// VPs through the balancer's degraded path (fallback: pure
   /// evacuation onto the least-loaded survivor). Subsequent LB rounds
-  /// plan over the shrunken live set; the retired worker thread keeps
-  /// participating in barriers but runs no VPs. Call between run()
-  /// invocations, after restoring VP state. At least one worker must
-  /// stay live.
+  /// plan over the shrunken live set; the retired worker is dealt no
+  /// tasks. Call between run() invocations, after restoring VP state.
+  /// At least one worker must stay live.
   void retire_worker(int worker);
 
   /// Workers retired so far, sorted ascending.
@@ -110,12 +110,9 @@ class Runtime {
   }
 
  private:
-  struct Pool;  ///< persistent worker threads, parked between run() calls
-
-  void step_phase(int worker, std::uint32_t global_step);
-  void deliver_phase(int worker);
+  void step_vp(int vp, std::uint32_t global_step);
+  void deliver_vp(int vp);
   void maybe_balance(std::uint32_t global_step);
-  void superstep_worker(int worker, std::uint32_t global_step, Pool& pool);
   void route_messages();
   void run_load_balancer(std::uint32_t global_step);
   lb::PlacementInput build_placement_input(std::uint32_t global_step,
@@ -133,8 +130,8 @@ class Runtime {
   std::vector<double> vp_measured_seconds_;  ///< since last LB
   // Telemetry handles, registered once at construction (null when
   // config_.obs is inactive). Lanes are per VP; a VP's lane is written
-  // only by the worker currently running it, and ownership changes only
-  // at LB barriers.
+  // only by the task running it, and ownership changes only between
+  // supersteps.
   std::vector<obs::TraceLane*> vp_lanes_;
   obs::Histogram* step_hist_ = nullptr;
   obs::Histogram* deliver_hist_ = nullptr;
@@ -145,11 +142,15 @@ class Runtime {
   obs::Counter* migrations_counter_ = nullptr;
   obs::Counter* migrated_bytes_counter_ = nullptr;
   obs::Counter* lb_invocations_counter_ = nullptr;
-  std::vector<std::vector<VpMessage>> outboxes_;  ///< per worker
-  std::vector<std::vector<VpMessage>> inboxes_;   ///< per VP
+  /// Per VP, each written only by the task stepping that VP.
+  std::vector<std::vector<VpMessage>> outboxes_;
+  std::vector<std::vector<VpMessage>> inboxes_;  ///< per VP
   RuntimeStats stats_;
   std::uint32_t current_step_ = 0;
-  std::unique_ptr<Pool> pool_;
+  /// Runs each phase as one task per VP, placed by vp_worker_, stealing
+  /// off: the placement is what the balancer decides and what
+  /// cross_worker_bytes measures. No obs hooks, so no ws/* instruments.
+  ws::WorkStealingPool pool_;
 };
 
 }  // namespace picprk::vpr

@@ -13,8 +13,9 @@
 // the classic owner-LIFO/thief-FIFO policy.
 //
 // The pool is a long-lived, multi-client resource (docs/SERVICE.md):
-// worker threads are spawned once at construction and parked between
-// run() calls, every run() leaves the deques drained — including runs
+// the thread that calls run() works as worker 0, the other workers'
+// threads are spawned once at construction and parked between run()
+// calls, every run() leaves the deques drained — including runs
 // that end in a task exception — and per-run statistics start from
 // zero, so a second client attaching after another drains sees exactly
 // the pool a fresh construction would give it.
@@ -42,7 +43,8 @@ struct PoolStats {
 
 class WorkStealingPool {
  public:
-  /// Spawns the (persistent) worker threads. `hooks` (optional) attaches
+  /// Spawns the persistent threads of workers 1..workers-1 (the caller
+  /// of run() works as worker 0). `hooks` (optional) attaches
   /// the pool to an obs registry/trace: the pool registers its
   /// task/steal counters and one trace lane per worker at construction,
   /// before any task runs.

@@ -90,8 +90,8 @@ TEST(MutexWrappers, FirstErrorKeepsFirstAndRethrows) {
   } catch (const std::runtime_error& e) {
     EXPECT_STREQ(e.what(), "first");  // first recording wins
   }
-  // Rethrowing clears the state so the owner can be reused (vpr pool
-  // dispatches the next job through the same FirstError).
+  // Rethrowing clears the state so the owner can be reused (the ws pool
+  // dispatches the next batch through the same FirstError).
   EXPECT_FALSE(err.failed());
   EXPECT_EQ(err.take(), nullptr);
   err.record(std::make_exception_ptr(std::runtime_error("again")));

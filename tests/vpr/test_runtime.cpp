@@ -195,6 +195,56 @@ TEST(RuntimeTest, VpExceptionPropagates) {
   EXPECT_THROW(rt.run(1), std::runtime_error);
 }
 
+TEST(RuntimeTest, ThrowingSuperstepLeavesClockAtLastCompletedStep) {
+  class ThrowsAtStep3 final : public VirtualProcessor {
+   public:
+    explicit ThrowsAtStep3(int id) : VirtualProcessor(id) {}
+    void step(VpContext& ctx) override {
+      if (id() == 1 && ctx.step() == 3) throw std::runtime_error("vp boom at 3");
+    }
+    void deliver(int, std::vector<std::byte>) override {}
+    double load() const override { return 1.0; }
+    void pup(Pup&) override {}
+  };
+  for (const int workers : {1, 2}) {
+    SCOPED_TRACE(workers);
+    Runtime rt(make_config(workers, 4),
+               [](int id) { return std::make_unique<ThrowsAtStep3>(id); });
+    EXPECT_THROW(rt.run(5), std::runtime_error);
+    // Supersteps 0..2 completed; the clock must say so.
+    EXPECT_EQ(rt.current_step(), 3u);
+    EXPECT_EQ(rt.stats().steps, 3u);
+  }
+}
+
+TEST(RuntimeTest, DeliveryOrderIsAscendingSourceWhateverThePlacement) {
+  // Every VP sends to VP 0, which logs the sources in arrival order.
+  class FanInVp final : public VirtualProcessor {
+   public:
+    explicit FanInVp(int id) : VirtualProcessor(id) {}
+    void step(VpContext& ctx) override { ctx.send(0, {}); }
+    void deliver(int src_vp, std::vector<std::byte>) override { sources_.push_back(src_vp); }
+    double load() const override { return 1.0; }
+    void pup(Pup& p) override { p(sources_); }
+    std::vector<int> sources_;
+  };
+  const int vps = 4;
+  const std::uint32_t steps = 6;
+  // rotate moves every VP to the next worker at every step, so the
+  // worker hosting each sender changes from step to step.
+  Runtime rt(make_config(2, vps, /*interval=*/1, "rotate"),
+             [](int id) { return std::make_unique<FanInVp>(id); });
+  rt.run(steps);
+  ASSERT_GE(rt.stats().migrations, 4u);
+  const auto& sources = static_cast<FanInVp&>(rt.vp(0)).sources_;
+  ASSERT_EQ(sources.size(), static_cast<std::size_t>(vps) * steps);
+  for (std::uint32_t s = 0; s < steps; ++s) {
+    for (int v = 0; v < vps; ++v) {
+      EXPECT_EQ(sources[s * vps + static_cast<std::size_t>(v)], v) << "step " << s;
+    }
+  }
+}
+
 TEST(RuntimeTest, MoreVpsThanWorkersRequired) {
   EXPECT_THROW(Runtime(make_config(4, 2), [](int id) {
                  return std::make_unique<RingVp>(id);
