@@ -13,8 +13,11 @@ namespace picprk::par {
 /// Runs the ampi/vpr driver on config.workers workers with
 /// config.overdecomposition VPs per worker, balancing every
 /// config.lb.every steps under the placement strategy named by
-/// config.lb.strategy (empty = "greedy", the paper's choice).
-/// Standalone (spawns its own workers); not collective over a Comm.
+/// config.lb.strategy (empty = "greedy", the paper's choice). Steps one
+/// par::VpHost to config.steps, so a VP kill rolls back in-process at
+/// most config.resilience.max_recoveries times before ft::RankKilled
+/// escapes. Standalone (spawns its own workers); not collective over a
+/// Comm.
 DriverResult run_ampi(const RunConfig& config);
 
 }  // namespace picprk::par

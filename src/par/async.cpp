@@ -478,7 +478,7 @@ DriverResult AsyncEngine::run() {
   }
   const double seconds = wall.elapsed();
 
-  // Finalize against the identical invariant as run_ampi / svc::Job.
+  // Finalize against the identical invariant as par::VpHost.
   VpVerifyTally tally;
   std::uint64_t local_particles = 0;
   for (int v = 0; v < vp_count_; ++v) {

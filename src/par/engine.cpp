@@ -206,6 +206,11 @@ std::string RunReport::result_line() const {
         .add("retransmits", ft.retransmits)
         .add("dup_dropped", ft.dup_dropped);
   }
+  if (impl != "serial") {
+    line.add("exchange_bytes", result.exchange_bytes)
+        .add("lb_actions", result.lb_actions)
+        .add("lb_bytes", result.lb_bytes);
+  }
   return line.str();
 }
 

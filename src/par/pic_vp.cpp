@@ -1,7 +1,10 @@
 #include "par/pic_vp.hpp"
 
 #include <cstring>
+#include <optional>
+#include <vector>
 
+#include "ft/checkpoint.hpp"
 #include "ft/fault.hpp"
 #include "pic/mover.hpp"
 #include "util/assert.hpp"
@@ -150,6 +153,99 @@ void accumulate_vp_verification(const PicVp& vp, const DriverConfig& config,
                                           config.verify_epsilon));
   tally.removed_id_sum += vp.removed_id_sum();
   tally.sent_particles += vp.sent_particles();
+}
+
+namespace {
+
+vpr::RuntimeConfig runtime_config(const RunConfig& config) {
+  PICPRK_EXPECTS(config.workers >= 1);
+  PICPRK_EXPECTS(config.overdecomposition >= 1);
+  vpr::RuntimeConfig rt;
+  rt.workers = config.workers;
+  rt.vps = config.workers * config.overdecomposition;
+  rt.lb_interval = config.lb.every;
+  rt.balancer = config.lb.strategy.empty() ? "greedy" : config.lb.strategy;
+  rt.use_measured_load = config.lb.measured;
+  rt.obs = config.obs;  // the runtime registers its own instruments
+  return rt;
+}
+
+}  // namespace
+
+VpHost::VpHost(const RunConfig& config)
+    : config_(config),
+      shared_(std::make_shared<const PicVpShared>(
+          config, config.workers * config.overdecomposition)),
+      runtime_(runtime_config(config), [shared = shared_](int vp) {
+        return std::make_unique<PicVp>(vp, shared);
+      }) {
+  runtime_.for_each_vp(
+      [](vpr::VirtualProcessor& vp) { static_cast<PicVp&>(vp).populate(); });
+  // Localized recovery needs per-step checkpoints so the survivors
+  // replay at most one superstep.
+  const bool checkpointing = config.ft.checkpointing();
+  local_ = checkpointing && config.resilience.recovery == RecoveryMode::kLocal;
+  cadence_ = local_ ? 1 : (checkpointing ? config.ft.checkpoint_every : 0);
+}
+
+bool VpHost::advance(const obs::StepInstruments* inst) {
+  ft::CheckpointStore* store = config_.ft.store;
+  if (cadence_ > 0 && step() % cadence_ == 0) {
+    // Double in-memory checkpoint: primary and buddy copy, both keyed by
+    // the VP id (the "rank" of a VP host).
+    obs::Phase phase(obs::kPhaseCheckpoint, &ft_.checkpoint_seconds,
+                     inst != nullptr ? inst->lane : nullptr,
+                     inst != nullptr ? inst->checkpoint : nullptr);
+    for (int v = 0; v < runtime_.vps(); ++v) {
+      std::vector<std::byte> packed = vpr::pup_pack(runtime_.vp(v));
+      ft_.checkpoint_bytes += 2 * packed.size();
+      store->save_buddy(v, step(), packed);
+      store->save(v, step(), std::move(packed));
+    }
+    ++ft_.checkpoints;
+  }
+  try {
+    runtime_.run(1);
+    return true;
+  } catch (const ft::RankKilled& e) {
+    if (cadence_ == 0) throw;
+    // Only buddy copies survive the dead VP's memory. In local mode the
+    // killed VP's host worker dies with everything it ran, so every
+    // co-located VP loses its primary too.
+    const int dead_worker = runtime_.worker_of(e.rank());
+    for (int v = 0; v < runtime_.vps(); ++v) {
+      if (local_ ? runtime_.worker_of(v) == dead_worker : v == e.rank()) {
+        store->drop_primary(v);
+      }
+    }
+    std::uint32_t& attempts = local_ ? ft_.localized : ft_.rollbacks;
+    const std::optional<std::uint32_t> consistent = store->consistent_step(runtime_.vps());
+    if (!consistent || attempts >= config_.resilience.max_recoveries) throw;
+    ++attempts;
+    if (local_) ft_.replayed += step() - *consistent;
+    // Rewinding the clock discards pending messages; every VP is then
+    // rebuilt from its surviving copy.
+    runtime_.rewind(*consistent);
+    for (int v = 0; v < runtime_.vps(); ++v) {
+      std::optional<std::vector<std::byte>> bytes = store->load(v, *consistent);
+      PICPRK_ASSERT_MSG(bytes.has_value(), "consistent checkpoint is missing a vp snapshot");
+      vpr::pup_unpack(runtime_.vp(v), std::move(*bytes));
+    }
+    // Shrink the live set; the dead worker's VPs evacuate through the
+    // balancer's degraded plan before the next superstep.
+    if (local_) runtime_.retire_worker(dead_worker);
+    return false;
+  }
+}
+
+VpHost::Tally VpHost::tally() {
+  Tally out;
+  runtime_.for_each_vp([&](vpr::VirtualProcessor& vp) {
+    accumulate_vp_verification(static_cast<PicVp&>(vp), config_, out.vps);
+  });
+  out.expected_checksum =
+      vpr_expected_checksum(shared_->init, config_.events, out.vps.removed_id_sum);
+  return out;
 }
 
 }  // namespace picprk::par

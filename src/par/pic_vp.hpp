@@ -1,9 +1,9 @@
 // The over-decomposed PIC subdomain as a vpr::VirtualProcessor — the
-// unit of work the ampi driver (§IV-C) runs under the vpr runtime.
-// Extracted from ampi.cpp so the svc job server (docs/SERVICE.md) can
-// host many independent kernel instances: each svc::Job builds its own
-// PicVpShared + VP set and steps them through a private runtime, while
-// run_ampi keeps using exactly the same classes for its single-job run.
+// unit of work the ampi driver (§IV-C) runs under the vpr runtime — and
+// VpHost, the one host of a set of them: run_ampi steps one VpHost, and
+// every svc::Job (docs/SERVICE.md) steps its own private one, so the VP
+// construction, the checkpoint/rollback rung, the step clock and the
+// final tally exist once for both.
 #pragma once
 
 #include <cstddef>
@@ -13,10 +13,13 @@
 
 #include "comm/cart.hpp"
 #include "ft/options.hpp"
+#include "obs/phase.hpp"
 #include "par/driver_common.hpp"
 #include "par/exchange.hpp"
+#include "par/run_config.hpp"
 #include "pic/charge.hpp"
 #include "pic/tiling.hpp"
+#include "vpr/runtime.hpp"
 #include "vpr/vp.hpp"
 
 namespace picprk::par {
@@ -88,8 +91,8 @@ class PicVp final : public vpr::VirtualProcessor {
 /// The closed-form id checksum a finished vpr-hosted kernel instance
 /// must reproduce: Σ id over the initial population (n(n+1)/2 by
 /// construction), plus every scheduled injection's id range, minus the
-/// ids actually removed (summed over the VPs). Shared by run_ampi and
-/// the svc job server so both verify against the identical invariant.
+/// ids actually removed (summed over the VPs). Shared by VpHost and
+/// run_async so both verify against the identical invariant.
 std::uint64_t vpr_expected_checksum(const pic::Initializer& init,
                                     const pic::EventSchedule& events,
                                     std::uint64_t removed_id_sum);
@@ -104,9 +107,64 @@ struct VpVerifyTally {
 /// Folds one VP's final population into the closed-form check: position
 /// verification against the analytic trajectory plus the removed-id and
 /// sent-particle tallies that feed `vpr_expected_checksum`. Shared by
-/// run_ampi, run_async and svc::Job so every host of the VP classes
-/// finalizes against the identical invariant.
+/// VpHost and run_async so every host of the VP classes finalizes
+/// against the identical invariant.
 void accumulate_vp_verification(const PicVp& vp, const DriverConfig& config,
                                 VpVerifyTally& tally);
+
+/// One vpr-hosted kernel instance — the PicVpShared, the vpr::Runtime
+/// over its populated VPs and their in-process checkpoint/rollback rung
+/// (docs/RESILIENCE.md). Runtime::current_step() is its only step clock.
+class VpHost {
+ public:
+  /// What the checkpoint/rollback rung did so far.
+  struct FtStats {
+    std::uint64_t checkpoints = 0;
+    std::uint64_t checkpoint_bytes = 0;
+    double checkpoint_seconds = 0.0;
+    std::uint32_t rollbacks = 0;
+    std::uint32_t localized = 0;  ///< localized restores (worker retired)
+    std::uint32_t replayed = 0;   ///< steps re-run after localized restores
+    std::uint32_t recoveries() const { return rollbacks + localized; }
+  };
+  struct Tally {
+    VpVerifyTally vps;
+    std::uint64_t expected_checksum = 0;
+  };
+
+  /// config.workers · config.overdecomposition populated VPs on
+  /// config.workers workers, balanced every config.lb.every steps by
+  /// config.lb.strategy (empty = "greedy"), instrumented on config.obs.
+  explicit VpHost(const RunConfig& config);
+  VpHost(const VpHost&) = delete;
+  VpHost& operator=(const VpHost&) = delete;
+
+  /// Checkpoints when due (config.ft.checkpoint_every; every step under
+  /// RecoveryMode::kLocal), then runs one superstep: true. On an injected
+  /// VP death: drops the lost primaries (the VP's, or in local mode its
+  /// worker's), restores the newest consistent step, retires the worker
+  /// in local mode, and returns false. Rethrows without a consistent step
+  /// or after config.resilience.max_recoveries repairs of that kind.
+  /// `inst` receives the checkpoint phase.
+  bool advance(const obs::StepInstruments* inst = nullptr);
+
+  std::uint32_t step() const { return runtime_.current_step(); }
+  bool done() const { return step() >= config_.steps; }
+  const PicVpShared& shared() const { return *shared_; }
+  vpr::Runtime& runtime() { return runtime_; }
+  PicVp& vp(int id) { return static_cast<PicVp&>(runtime_.vp(id)); }
+  const FtStats& ft() const { return ft_; }
+
+  /// The closed-form check over every VP's final population.
+  Tally tally();
+
+ private:
+  RunConfig config_;
+  std::shared_ptr<const PicVpShared> shared_;
+  vpr::Runtime runtime_;
+  bool local_ = false;
+  std::uint32_t cadence_ = 0;  ///< 0 = no checkpoints
+  FtStats ft_;
+};
 
 }  // namespace picprk::par

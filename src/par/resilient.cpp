@@ -8,7 +8,6 @@
 #include "ft/coordinator.hpp"
 #include "util/assert.hpp"
 #include "util/log.hpp"
-#include "vpr/runtime.hpp"
 
 namespace picprk::par {
 
@@ -55,29 +54,6 @@ std::optional<DriverSnapshot> restore_snapshot(int rank, int slots,
   vpr::pup_unpack(snap, std::move(*bytes));
   PICPRK_ASSERT_MSG(snap.step == *step, "checkpoint snapshot tagged with wrong step");
   return snap;
-}
-
-std::uint64_t checkpoint_vps(vpr::Runtime& runtime, ft::CheckpointStore& store,
-                             std::uint32_t step) {
-  std::uint64_t bytes = 0;
-  for (int v = 0; v < runtime.vps(); ++v) {
-    std::vector<std::byte> packed = vpr::pup_pack(runtime.vp(v));
-    bytes += 2 * packed.size();
-    store.save_buddy(v, step, packed);
-    store.save(v, step, std::move(packed));
-  }
-  return bytes;
-}
-
-void restore_vps(vpr::Runtime& runtime, const ft::CheckpointStore& store,
-                 std::uint32_t step) {
-  runtime.rewind(step);
-  for (int v = 0; v < runtime.vps(); ++v) {
-    std::optional<std::vector<std::byte>> bytes = store.load(v, step);
-    PICPRK_ASSERT_MSG(bytes.has_value(),
-                      "consistent checkpoint is missing a vp snapshot");
-    vpr::pup_unpack(runtime.vp(v), std::move(*bytes));
-  }
 }
 
 DriverResult run_resilient(const RunConfig& config, const DriverFn& driver,

@@ -4,9 +4,10 @@
 // buddy-replicates it (primary copy in the rank's own store slot, one
 // copy shipped to rank+1 mod P), and run_resilient() re-runs a driver
 // through a fresh World after an injected failure, rolling every rank
-// back to the store's last consistent checkpoint. For the VP hosts
-// (run_ampi, svc::Job) checkpoint_vps()/restore_vps() are the one
-// save/rollback pair over a vpr::Runtime.
+// back to the store's last consistent checkpoint. The VP engines (ampi
+// and every svc::Job) recover in-process instead: par::VpHost
+// (par/pic_vp.hpp) owns their one checkpoint/rollback rung, capped by the
+// same ResilienceOptions::max_recoveries.
 #pragma once
 
 #include <cstdint>
@@ -21,10 +22,6 @@
 #include "par/run_config.hpp"
 #include "pic/particle.hpp"
 #include "vpr/pup.hpp"
-
-namespace picprk::vpr {
-class Runtime;
-}  // namespace picprk::vpr
 
 namespace picprk::par {
 
@@ -64,19 +61,6 @@ std::uint64_t checkpoint_exchange(comm::Comm& comm, ft::CheckpointStore& store,
 /// store has no consistent line or no copy survived for this rank.
 std::optional<DriverSnapshot> restore_snapshot(int rank, int slots,
                                                const ft::CheckpointStore& store);
-
-/// Double in-memory checkpoint of every VP of `runtime` at `step`:
-/// primary and buddy copy, both keyed by the VP id (the "rank" of a VP
-/// host). Returns the bytes stored.
-std::uint64_t checkpoint_vps(vpr::Runtime& runtime, ft::CheckpointStore& store,
-                             std::uint32_t step);
-
-/// In-process rollback to `step`: rewinds the superstep clock (pending
-/// messages are discarded) and rebuilds every VP from its surviving
-/// snapshot copy. `step` must be a consistent step of `store` over all
-/// VPs.
-void restore_vps(vpr::Runtime& runtime, const ft::CheckpointStore& store,
-                 std::uint32_t step);
 
 // ResilienceOptions lives in par/run_config.hpp (a RunConfig fully
 // describes a resilient run).

@@ -61,7 +61,8 @@ struct ResilienceOptions {
   int timeout_ms = 0;
   /// Deadlock-detector window in ms (0 = off).
   int deadlock_ms = 0;
-  /// Give up (rethrow) after this many rollbacks.
+  /// Give up (rethrow) after this many rollbacks. The VP engines (ampi,
+  /// svc jobs) cap each of their two rungs, rollback and localized, by it.
   std::uint32_t max_recoveries = 3;
   /// Repair rung for confirmed rank failures.
   RecoveryMode recovery = RecoveryMode::kRollback;

@@ -3,19 +3,10 @@
 #include <algorithm>
 #include <span>
 
-#include "par/resilient.hpp"
 #include "pic/init.hpp"
-#include "util/assert.hpp"
 #include "util/timer.hpp"
 
 namespace picprk::svc {
-
-namespace {
-
-/// Rollback attempts before a job gives up and fails.
-constexpr std::uint32_t kMaxRecoveries = 3;
-
-}  // namespace
 
 const char* to_string(JobState state) {
   switch (state) {
@@ -54,38 +45,15 @@ Job::Job(int id, JobSpec spec) : id_(id), spec_(std::move(spec)) {
   spec_.run.obs.registry = &registry_;
   spec_.run.obs.trace = nullptr;
 
-  const int vps = spec_.run.overdecomposition;
-  shared_ = std::make_shared<const par::PicVpShared>(spec_.run, vps);
-
-  vpr::RuntimeConfig rt;
-  rt.workers = 1;  // inline superstep path: no nested threads under the pool
-  rt.vps = vps;
-  rt.lb_interval = spec_.run.lb.every;
-  rt.balancer = spec_.run.lb.strategy.empty() ? "greedy" : spec_.run.lb.strategy;
-  rt.use_measured_load = spec_.run.lb.measured;
-  rt.obs.registry = &registry_;
-  auto shared = shared_;
-  runtime_ = std::make_unique<vpr::Runtime>(
-      rt, [shared](int vp) { return std::make_unique<par::PicVp>(vp, shared); });
-  runtime_->for_each_vp(
-      [](vpr::VirtualProcessor& vp) { static_cast<par::PicVp&>(vp).populate(); });
+  host_ = std::make_unique<par::VpHost>(spec_.run);
   step_hist_ = &registry_.register_histogram("svc/step_seconds", 0.0, 0.02, 200);
 }
 
-bool Job::recover() {
-  const auto consistent = store_->consistent_step(runtime_->vps());
-  if (!consistent || recoveries_ >= kMaxRecoveries) return false;
-  par::restore_vps(*runtime_, *store_, *consistent);
-  steps_done_ = *consistent;
-  ++recoveries_;
-  return true;
-}
-
 void Job::sample(std::uint32_t step) {
-  const int vps = runtime_->vps();
+  const int vps = host_->runtime().vps();
   double total = 0.0, max = 0.0;
   for (int v = 0; v < vps; ++v) {
-    const double load = runtime_->vp(v).load();
+    const double load = host_->vp(v).load();
     total += load;
     max = std::max(max, load);
   }
@@ -102,36 +70,28 @@ void Job::sample(std::uint32_t step) {
 void Job::advance(std::uint32_t n) {
   if (state_ != JobState::kRunning || n == 0) return;
   ++cycles_;
-  const bool checkpointing = spec_.checkpoint_every > 0;
   util::Timer quantum_timer;
   std::uint32_t executed = 0;
   try {
-    while (executed < n && steps_done_ < spec_.run.steps) {
-      if (checkpointing && steps_done_ % spec_.checkpoint_every == 0) {
-        par::checkpoint_vps(*runtime_, *store_, steps_done_);
-      }
+    while (executed < n && !host_->done()) {
+      // svc/step_seconds times the superstep alone, without a checkpoint
+      // the host takes first.
+      const double checkpoint_before = host_->ft().checkpoint_seconds;
       util::Timer step_timer;
-      try {
-        runtime_->run(1);
-      } catch (const ft::RankKilled& e) {
-        // The drill killed one of *this job's* VPs. Lose its primary
-        // snapshots, roll the job back through its own store, and keep
-        // going — neighbours never see any of it.
-        store_->drop_primary(e.rank());
-        if (!recover()) throw;
-        continue;
-      }
-      ++steps_done_;
+      // A drill that kills one of *this job's* VPs rolls the job back
+      // through its own store; neighbours never see any of it.
+      if (!host_->advance()) continue;
       ++executed;
-      step_hist_->observe(step_timer.elapsed());
-      if (spec_.run.sample_every > 0 && steps_done_ % spec_.run.sample_every == 0) {
-        sample(steps_done_);
+      step_hist_->observe(step_timer.elapsed() -
+                          (host_->ft().checkpoint_seconds - checkpoint_before));
+      if (spec_.run.sample_every > 0 && steps_done() % spec_.run.sample_every == 0) {
+        sample(steps_done());
       }
     }
   } catch (const std::exception& e) {
     state_ = JobState::kFailed;
     failure_ = e.what();
-    result_.recoveries = recoveries_;
+    result_.recoveries = host_->ft().recoveries();
     seconds_ += quantum_timer.elapsed();
     return;
   }
@@ -144,38 +104,32 @@ void Job::advance(std::uint32_t n) {
     cost_per_step_ =
         cost_per_step_ <= 0.0 ? per_step : 0.5 * cost_per_step_ + 0.5 * per_step;
   }
-  if (steps_done_ >= spec_.run.steps) finalize();
+  if (host_->done()) finalize();
 }
 
 void Job::cancel() {
   if (state_ != JobState::kRunning) return;
   state_ = JobState::kCancelled;
-  result_.recoveries = recoveries_;
+  result_.recoveries = host_->ft().recoveries();
 }
 
 void Job::finalize() {
-  par::VpVerifyTally tally;
-  runtime_->for_each_vp([&](vpr::VirtualProcessor& base) {
-    accumulate_vp_verification(static_cast<par::PicVp&>(base), spec_.run, tally);
-  });
-  const pic::VerifyResult& verify = tally.verify;
-  const std::uint64_t expected =
-      par::vpr_expected_checksum(shared_->init, spec_.run.events, tally.removed_id_sum);
-
-  result_.ok = verify.ok(expected);
+  const par::VpHost::Tally tally = host_->tally();
+  const pic::VerifyResult& verify = tally.vps.verify;
+  result_.ok = verify.ok(tally.expected_checksum);
   result_.final_particles = verify.checked;
   result_.id_checksum = verify.id_checksum;
-  result_.expected_checksum = expected;
-  result_.recoveries = recoveries_;
-  result_.migrations = runtime_->stats().migrations;
+  result_.expected_checksum = tally.expected_checksum;
+  result_.recoveries = host_->ft().recoveries();
+  result_.migrations = host_->runtime().stats().migrations;
 
   // Headline scalars into the job registry so the per-tenant metrics
   // document is self-contained (same idea as picprk's absorb_result).
   registry_.register_gauge("job/seconds").set(seconds_);
-  registry_.register_gauge("job/steps").set(static_cast<double>(steps_done_));
+  registry_.register_gauge("job/steps").set(static_cast<double>(steps_done()));
   registry_.register_gauge("job/final_particles")
       .set(static_cast<double>(result_.final_particles));
-  registry_.register_counter("job/recoveries").add(recoveries_);
+  registry_.register_counter("job/recoveries").add(result_.recoveries);
   registry_.register_counter("job/migrations").add(result_.migrations);
   if (injector_ != nullptr) {
     for (const auto& view : injector_->metrics().counters()) {

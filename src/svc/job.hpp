@@ -1,8 +1,8 @@
 // One tenant of the job server (docs/SERVICE.md): a complete kernel
-// instance — its own vpr runtime over par::PicVp subdomains, its own
-// obs::Registry, its own fault injector and checkpoint store — wrapped
-// behind an advance(n)/finalize lifecycle the server can drive in
-// quanta. Nothing in here touches process-global state: two Jobs are as
+// instance — its own par::VpHost (the vpr runtime over par::PicVp
+// subdomains that run_ampi also steps), its own obs::Registry, its own
+// fault injector and checkpoint store — wrapped behind an
+// advance(n)/finalize lifecycle the server can drive in quanta. Nothing in here touches process-global state: two Jobs are as
 // isolated as two picprk processes, which is what makes the per-tenant
 // metrics documents disjoint and a fault drill in one tenant invisible
 // to its neighbours.
@@ -24,7 +24,6 @@
 #include "par/pic_vp.hpp"
 #include "svc/spec.hpp"
 #include "util/report.hpp"
-#include "vpr/runtime.hpp"
 
 namespace picprk::svc {
 
@@ -60,9 +59,9 @@ class Job {
   JobState state() const { return state_; }
   const std::string& failure() const { return failure_; }
 
-  std::uint32_t steps_done() const { return steps_done_; }
+  std::uint32_t steps_done() const { return host_->step(); }
   std::uint32_t remaining_steps() const {
-    return state_ == JobState::kRunning ? spec_.run.steps - steps_done_ : 0;
+    return state_ == JobState::kRunning ? spec_.run.steps - steps_done() : 0;
   }
   /// Cycles this job received a quantum in — the fair-share observable.
   std::uint32_t cycles() const { return cycles_; }
@@ -77,10 +76,11 @@ class Job {
   int owner() const { return owner_; }
   void set_owner(int worker) { owner_ = worker; }
 
-  /// Runs up to `n` supersteps (fewer when the job completes first),
-  /// checkpointing on the configured cadence and rolling back through
-  /// the job's own store when its fault drill kills a VP. Transitions
-  /// to kDone (with verification) or kFailed; never throws.
+  /// Runs up to `n` supersteps (fewer when the job completes first)
+  /// through the host, which checkpoints on the configured cadence and
+  /// rolls back through the job's own store when its fault drill kills
+  /// a VP. Transitions to kDone (with verification) or kFailed; never
+  /// throws.
   void advance(std::uint32_t n);
 
   /// Marks a running job cancelled; its state is dropped undrained.
@@ -98,8 +98,6 @@ class Job {
   util::JsonObject config_json() const;
 
  private:
-  /// Rollback to the newest consistent checkpoint; false = unrecoverable.
-  bool recover();
   void sample(std::uint32_t step);
   void finalize();
 
@@ -112,13 +110,10 @@ class Job {
   obs::Registry registry_;
   std::unique_ptr<ft::FaultInjector> injector_;
   std::unique_ptr<ft::CheckpointStore> store_;
-  std::shared_ptr<const par::PicVpShared> shared_;
-  std::unique_ptr<vpr::Runtime> runtime_;
+  std::unique_ptr<par::VpHost> host_;
   obs::Histogram* step_hist_ = nullptr;  ///< svc/step_seconds (p99 source)
 
-  std::uint32_t steps_done_ = 0;
   std::uint32_t cycles_ = 0;
-  std::uint32_t recoveries_ = 0;
   double cost_per_step_ = 0.0;
   double seconds_ = 0.0;
   int owner_ = 0;

@@ -81,10 +81,9 @@ TEST(Recovery, DiffusionSurvivesRankDeath) {
   EXPECT_EQ(result.recoveries, 1u);
 }
 
-TEST(Recovery, AmpiSurvivesVpDeath) {
+/// ampi on 2 workers × d=3, VP 3 killed at step 21, checkpoints every 8.
+par::RunConfig ampi_kill_config(ft::FaultInjector& injector, ft::CheckpointStore& store) {
   auto cfg = small_config();
-  ft::FaultInjector injector(ft::FaultPlan::parse("kill:rank=3,step=21", 1));
-  ft::CheckpointStore store;
   cfg.ft.injector = &injector;
   cfg.ft.store = &store;
   cfg.ft.checkpoint_every = 8;
@@ -92,10 +91,27 @@ TEST(Recovery, AmpiSurvivesVpDeath) {
   cfg.workers = 2;
   cfg.overdecomposition = 3;
   cfg.lb.every = 5;
-  const auto result = par::run_ampi(cfg);
+  return cfg;
+}
+
+TEST(Recovery, AmpiSurvivesVpDeath) {
+  ft::FaultInjector injector(ft::FaultPlan::parse("kill:rank=3,step=21", 1));
+  ft::CheckpointStore store;
+  const auto result = par::run_ampi(ampi_kill_config(injector, store));
   EXPECT_TRUE(result.ok);
   EXPECT_EQ(result.verification.id_checksum, result.expected_id_checksum);
   EXPECT_EQ(result.recoveries, 1u);
+  EXPECT_EQ(injector.kills(), 1u);
+}
+
+TEST(Recovery, AmpiHonoursMaxRecoveries) {
+  // The VP rollback rung is capped by the same knob as run_resilient's:
+  // with no rollbacks allowed the kill is rethrown, not repaired.
+  ft::FaultInjector injector(ft::FaultPlan::parse("kill:rank=3,step=21", 1));
+  ft::CheckpointStore store;
+  auto cfg = ampi_kill_config(injector, store);
+  cfg.resilience.max_recoveries = 0;
+  EXPECT_THROW((void)par::run_ampi(cfg), ft::RankKilled);
   EXPECT_EQ(injector.kills(), 1u);
 }
 

@@ -99,6 +99,10 @@ TEST_P(EveryEngine, RunsAndReportsPass) {
   EXPECT_TRUE(has_key(line, "seconds")) << line;
   // The checksum tail belongs to the parallel drivers only.
   EXPECT_EQ(has_key(line, "checksum"), impl != "serial") << line;
+  // So do the wire and load-balancing volumes.
+  for (const char* key : {"exchange_bytes", "lb_actions", "lb_bytes"}) {
+    EXPECT_EQ(has_key(line, key), impl != "serial") << key << ": " << line;
+  }
   EXPECT_FALSE(has_key(line, "rollbacks")) << line;
 
   const std::string banner = report.human_summary();

@@ -13,6 +13,9 @@
 #include <stdexcept>
 #include <string>
 
+#include "ft/checkpoint.hpp"
+#include "ft/fault.hpp"
+#include "par/ampi.hpp"
 #include "svc/job_table.hpp"
 #include "svc/server.hpp"
 #include "svc/spec.hpp"
@@ -145,6 +148,35 @@ TEST(ServerTest, FaultInOneTenantDoesNotPerturbNeighbours) {
               closed_form(job->result().final_particles))
         << name;
   }
+}
+
+TEST(ServerTest, JobAndRunAmpiAgreeOnAKillDrill) {
+  // One RunConfig, both VP hosts: a job advanced to completion and
+  // run_ampi on one worker with the same drill must end identically.
+  const auto spec = parse_job_spec(
+      "drill:dist=geometric,particles=2000,steps=24,d=4,"
+      "kill_vp=1,kill_step=10,checkpoint_every=4");
+  Job job(0, spec);
+  while (job.state() == JobState::kRunning) job.advance(5);
+  ASSERT_EQ(job.state(), JobState::kDone) << job.failure();
+
+  picprk::ft::FaultInjector injector(
+      picprk::ft::FaultPlan::parse("kill:rank=1,step=10", 1));
+  picprk::ft::CheckpointStore store;
+  picprk::par::RunConfig cfg = spec.run;
+  cfg.workers = 1;
+  cfg.ft.injector = &injector;
+  cfg.ft.store = &store;
+  cfg.ft.checkpoint_every = 4;
+  const picprk::par::DriverResult ampi = picprk::par::run_ampi(cfg);
+
+  EXPECT_TRUE(ampi.ok);
+  EXPECT_TRUE(job.result().ok);
+  EXPECT_EQ(ampi.final_particles, job.result().final_particles);
+  EXPECT_EQ(ampi.verification.id_checksum, job.result().id_checksum);
+  EXPECT_EQ(ampi.recoveries, job.result().recoveries);
+  EXPECT_EQ(ampi.recoveries, 1u);
+  EXPECT_EQ(ampi.lb_actions, job.result().migrations);
 }
 
 TEST(ServerTest, CancelledJobIsReportedNotVerified) {
