@@ -5,9 +5,10 @@
 //  * sends are buffered (never block, like MPI_Bsend with enough buffer);
 //  * receives block and match (source|ANY, tag|ANY) in FIFO order per
 //    (source, tag);
-//  * collectives must be called by every rank of the communicator in the
-//    same order;
-//  * Comm::split creates disjoint sub-communicators (MPI_Comm_split).
+//  * collectives must be called by every rank in the same order.
+//
+// Every Comm is the world communicator and rank() is the world rank: no
+// implementation of the PRK needs a sub-communicator.
 //
 // All payloads are trivially-copyable element types moved by value between
 // rank-private address spaces — there is no shared-state shortcut, so the
@@ -37,11 +38,7 @@ enum class Op : int {
   Bcast,
   Reduce,
   Allreduce,
-  Gather,
-  Allgather,
   Alltoall,
-  Split,
-  Scan,
   Alltoallv,
   Count_,
 };
@@ -115,6 +112,8 @@ class BufferPool {
   /// Number of acquires that required a fresh heap allocation.
   std::uint64_t allocations() const { return allocations_; }
 
+  /* picprk-lint: suppress(reach: test observer read by
+     Alltoallv.BufferPoolMayChangeThreadsBetweenCalls) */
   std::size_t pooled() const { return free_.size(); }
 
  private:
@@ -156,18 +155,18 @@ class BufferPool {
 
 class Comm {
  public:
-  /// World communicator over all ranks (context 0). Created by World::run.
-  Comm(WorldState* state, int world_rank);
+  /// Rank `rank` of the world communicator. Created by World::run.
+  Comm(WorldState* state, int rank);
 
   Comm(const Comm&) = delete;
   Comm& operator=(const Comm&) = delete;
   Comm(Comm&&) = default;
   Comm& operator=(Comm&&) = default;
 
-  /// Rank within this communicator.
+  /// This rank's index in the world.
   int rank() const { return rank_; }
-  /// Number of ranks in this communicator.
-  int size() const { return static_cast<int>(group_.size()); }
+  /// Number of ranks in the world.
+  int size() const { return state_->size; }
 
   // ---------------------------------------------------------------- P2P
 
@@ -204,7 +203,7 @@ class Comm {
   std::vector<T> recv(int src, int tag, Status* status = nullptr) {
     static_assert(std::is_trivially_copyable_v<T>);
     Message msg = recv_bytes(src, tag);
-    if (status) *status = Status{group_index(msg.source), msg.tag, msg.payload.size()};
+    if (status) *status = Status{msg.source, msg.tag, msg.payload.size()};
     return from_bytes<T>(msg.payload);
   }
 
@@ -215,7 +214,7 @@ class Comm {
   std::size_t recv_into(std::vector<T>& out, int src, int tag, Status* status = nullptr) {
     static_assert(std::is_trivially_copyable_v<T>);
     Message msg = recv_bytes(src, tag);
-    if (status) *status = Status{group_index(msg.source), msg.tag, msg.payload.size()};
+    if (status) *status = Status{msg.source, msg.tag, msg.payload.size()};
     PICPRK_ASSERT_MSG(msg.payload.size() % sizeof(T) == 0,
                       "payload length not a multiple of element size");
     const std::size_t count = msg.payload.size() / sizeof(T);
@@ -230,14 +229,6 @@ class Comm {
     auto v = recv<T>(src, tag, status);
     PICPRK_ASSERT_MSG(v.size() == 1, "recv_value expected exactly one element");
     return v.front();
-  }
-
-  /// Buffered-send + blocking-receive pair (cannot deadlock because sends
-  /// are buffered).
-  template <typename T>
-  std::vector<T> sendrecv(std::span<const T> out, int dst, int src, int tag) {
-    send(out, dst, tag);
-    return recv<T>(src, tag);
   }
 
   /// Blocking probe: waits for a matching envelope without consuming it.
@@ -293,7 +284,7 @@ class Comm {
     int mask = 1;
     while (mask < size()) {
       if (vrank & mask) {
-        Message msg = recv_internal((vrank - mask + root) % size(), tag);
+        Message msg = recv_bytes((vrank - mask + root) % size(), tag);
         data = from_bytes<T>(msg.payload);
         break;
       }
@@ -302,8 +293,8 @@ class Comm {
     mask >>= 1;
     while (mask > 0) {
       if (vrank + mask < size()) {
-        send_internal(as_bytes_copy(std::span<const T>(data)),
-                      (vrank + mask + root) % size(), tag);
+        send_bytes(as_bytes_copy(std::span<const T>(data)),
+                   (vrank + mask + root) % size(), tag);
       }
       mask >>= 1;
     }
@@ -322,7 +313,7 @@ class Comm {
       if ((vrank & mask) == 0) {
         const int vsrc = vrank | mask;
         if (vsrc < size()) {
-          Message msg = recv_internal((vsrc + root) % size(), tag);
+          Message msg = recv_bytes((vsrc + root) % size(), tag);
           auto partial = from_bytes<T>(msg.payload);
           PICPRK_ASSERT_MSG(partial.size() == acc.size(),
                             "reduce: mismatched vector lengths across ranks");
@@ -330,8 +321,8 @@ class Comm {
             acc[i] = op(acc[i], partial[i]);
         }
       } else {
-        send_internal(as_bytes_copy(std::span<const T>(acc)),
-                      ((vrank - mask) + root) % size(), tag);
+        send_bytes(as_bytes_copy(std::span<const T>(acc)),
+                   ((vrank - mask) + root) % size(), tag);
         break;
       }
       mask <<= 1;
@@ -355,66 +346,6 @@ class Comm {
     return v.front();
   }
 
-  /// Gather with per-rank variable lengths. Root receives one vector per
-  /// rank (in rank order); non-root ranks return an empty outer vector.
-  template <typename T>
-  std::vector<std::vector<T>> gather(std::span<const T> data, int root) {
-    static_assert(std::is_trivially_copyable_v<T>);
-    const int tag = next_tag(detail::Op::Gather);
-    std::vector<std::vector<T>> result;
-    if (rank_ == root) {
-      result.resize(static_cast<std::size_t>(size()));
-      result[static_cast<std::size_t>(root)].assign(data.begin(), data.end());
-      for (int r = 0; r < size(); ++r) {
-        if (r == root) continue;
-        Message msg = recv_internal(r, tag);
-        result[static_cast<std::size_t>(r)] = from_bytes<T>(msg.payload);
-      }
-    } else {
-      send_internal(as_bytes_copy(data), root, tag);
-    }
-    return result;
-  }
-
-  /// Allgather with variable lengths: every rank gets every rank's vector.
-  template <typename T>
-  std::vector<std::vector<T>> allgather(std::span<const T> data) {
-    auto gathered = gather(data, 0);
-    next_tag(detail::Op::Allgather);  // sequence alignment
-    // Flatten + lengths, then broadcast both.
-    std::vector<std::uint64_t> lengths;
-    std::vector<T> flat;
-    if (rank_ == 0) {
-      for (auto& v : gathered) {
-        lengths.push_back(v.size());
-        flat.insert(flat.end(), v.begin(), v.end());
-      }
-    }
-    bcast(lengths, 0);
-    bcast(flat, 0);
-    std::vector<std::vector<T>> result(static_cast<std::size_t>(size()));
-    std::size_t offset = 0;
-    for (std::size_t r = 0; r < result.size(); ++r) {
-      result[r].assign(flat.begin() + static_cast<std::ptrdiff_t>(offset),
-                       flat.begin() + static_cast<std::ptrdiff_t>(offset + lengths[r]));
-      offset += lengths[r];
-    }
-    return result;
-  }
-
-  /// Convenience: allgather of a single value per rank.
-  template <typename T>
-  std::vector<T> allgather_value(const T& value) {
-    auto nested = allgather(std::span<const T>(&value, 1));
-    std::vector<T> flat;
-    flat.reserve(nested.size());
-    for (auto& v : nested) {
-      PICPRK_ASSERT(v.size() == 1);
-      flat.push_back(v.front());
-    }
-    return flat;
-  }
-
   /// Full variable-size exchange (MPI_Alltoallv): `outgoing[r]` goes to
   /// rank r; returns `incoming[r]` received from rank r. Empty vectors
   /// are exchanged too, so matching is deterministic.
@@ -426,13 +357,13 @@ class Comm {
     // Pairwise-shifted send order spreads load; buffered sends cannot block.
     for (int shift = 0; shift < size(); ++shift) {
       const int dst = (rank_ + shift) % size();
-      send_internal(as_bytes_copy(std::span<const T>(outgoing[static_cast<std::size_t>(dst)])),
-                    dst, tag);
+      const auto& out = outgoing[static_cast<std::size_t>(dst)];
+      send_bytes(as_bytes_copy(std::span<const T>(out)), dst, tag);
     }
     std::vector<std::vector<T>> incoming(static_cast<std::size_t>(size()));
     for (int i = 0; i < size(); ++i) {
-      Message msg = recv_internal(kAnySource, tag);
-      auto& slot = incoming[static_cast<std::size_t>(group_index(msg.source))];
+      Message msg = recv_bytes(kAnySource, tag);
+      auto& slot = incoming[static_cast<std::size_t>(msg.source)];
       PICPRK_ASSERT_MSG(slot.empty() || msg.payload.empty(),
                         "alltoall: duplicate message from a source");
       slot = from_bytes<T>(msg.payload);
@@ -481,7 +412,7 @@ class Comm {
         send_counts[static_cast<std::size_t>(rank_)];
     for (int shift = 1; shift < p; ++shift) {
       const int src = (rank_ - shift + p) % p;
-      Message msg = recv_internal(src, tag);
+      Message msg = recv_bytes(src, tag);
       PICPRK_ASSERT_MSG(msg.payload.size() == sizeof(std::uint64_t),
                         "alltoallv: malformed count message");
       std::memcpy(&recv_counts[static_cast<std::size_t>(src)], msg.payload.data(),
@@ -520,7 +451,7 @@ class Comm {
         for (int r = 0; r < rank_; ++r) offset += send_counts[static_cast<std::size_t>(r)];
         std::memcpy(recv_data.data() + base, send_data.data() + offset, bytes);
       } else {
-        Message msg = recv_internal(src, tag);
+        Message msg = recv_bytes(src, tag);
         PICPRK_ASSERT_MSG(msg.payload.size() == bytes,
                           "alltoallv: payload size disagrees with its announced count");
         std::memcpy(recv_data.data() + base, msg.payload.data(), bytes);
@@ -529,50 +460,6 @@ class Comm {
       base += static_cast<std::size_t>(count);
     }
   }
-
-  /// Inclusive prefix reduction (MPI_Scan): rank r receives
-  /// op(data_0, ..., data_r), element-wise. Hillis–Steele, O(log P)
-  /// rounds; correct for non-commutative ops.
-  template <typename T, typename BinaryOp>
-  std::vector<T> scan(std::span<const T> data, BinaryOp op) {
-    std::vector<T> inclusive;
-    scan_impl(data, op, inclusive, static_cast<std::vector<T>*>(nullptr));
-    return inclusive;
-  }
-
-  /// Exclusive prefix reduction (MPI_Exscan): rank r receives
-  /// op(data_0, ..., data_{r-1}); rank 0 receives nullopt.
-  template <typename T, typename BinaryOp>
-  std::optional<std::vector<T>> exscan(std::span<const T> data, BinaryOp op) {
-    std::vector<T> inclusive;
-    std::vector<T> exclusive;
-    const bool have = scan_impl(data, op, inclusive, &exclusive);
-    if (!have) return std::nullopt;
-    return exclusive;
-  }
-
-  /// Convenience single-value scans.
-  template <typename T, typename BinaryOp>
-  T scan_value(const T& value, BinaryOp op) {
-    return scan(std::span<const T>(&value, 1), op).front();
-  }
-
-  template <typename T, typename BinaryOp>
-  std::optional<T> exscan_value(const T& value, BinaryOp op) {
-    auto v = exscan(std::span<const T>(&value, 1), op);
-    if (!v) return std::nullopt;
-    return v->front();
-  }
-
-  /// Splits this communicator into sub-communicators by `color`; ranks
-  /// with the same color form a group ordered by (key, old rank).
-  Comm split(int color, int key);
-
-  // -------------------------------------------------------- diagnostics
-
-  /// Global rank in the world (for logging).
-  int world_rank() const { return world_rank_; }
-  int context() const { return context_; }
 
   /// The world abort flag — lets long-running non-comm code (e.g. an
   /// injected slow-rank stall) observe a shutdown and bail out.
@@ -595,8 +482,6 @@ class Comm {
   void reset_collective_sequences() { seq_.fill(0); }
 
  private:
-  Comm(WorldState* state, int world_rank, int context, std::vector<int> group);
-
   template <typename T>
   static std::vector<std::byte> as_bytes_copy(std::span<const T> data) {
     std::vector<std::byte> bytes(data.size_bytes());
@@ -613,65 +498,19 @@ class Comm {
     return out;
   }
 
-  /// Hillis–Steele prefix reduction. Fills `inclusive`; when `exclusive`
-  /// is non-null also accumulates the exclusive prefix there and returns
-  /// whether this rank has one (false only on rank 0).
-  template <typename T, typename BinaryOp>
-  bool scan_impl(std::span<const T> data, BinaryOp op, std::vector<T>& inclusive,
-                 std::vector<T>* exclusive) {
-    static_assert(std::is_trivially_copyable_v<T>);
-    const int tag = next_tag(detail::Op::Scan);
-    inclusive.assign(data.begin(), data.end());
-    bool have_exclusive = false;
-    for (int k = 1; k < size(); k <<= 1) {
-      if (rank_ + k < size()) {
-        send_internal(as_bytes_copy(std::span<const T>(inclusive)), rank_ + k, tag);
-      }
-      if (rank_ - k >= 0) {
-        Message msg = recv_internal(rank_ - k, tag);
-        auto partial = from_bytes<T>(msg.payload);
-        PICPRK_ASSERT_MSG(partial.size() == inclusive.size(),
-                          "scan: mismatched vector lengths across ranks");
-        for (std::size_t i = 0; i < inclusive.size(); ++i) {
-          inclusive[i] = op(partial[i], inclusive[i]);
-        }
-        if (exclusive) {
-          if (!have_exclusive) {
-            *exclusive = partial;
-            have_exclusive = true;
-          } else {
-            for (std::size_t i = 0; i < exclusive->size(); ++i) {
-              (*exclusive)[i] = op(partial[i], (*exclusive)[i]);
-            }
-          }
-        }
-      }
-    }
-    return have_exclusive;
-  }
-
-  /// Index of a world rank within this communicator's group.
-  int group_index(int wrank) const;
-
   int next_tag(detail::Op op) {
     auto& seq = seq_[static_cast<std::size_t>(op)];
     return detail::internal_tag(op, seq++);
   }
 
-  /// dst/src below are ranks *within this communicator*.
   void send_bytes(std::vector<std::byte> bytes, int dst, int tag);
-  void send_internal(std::vector<std::byte> bytes, int dst, int tag);
   Message recv_bytes(int src, int tag);
-  Message recv_internal(int src, int tag);
 
   /// World wait params with this Comm's interrupt baseline filled in.
   Mailbox::WaitParams wait_params() const;
 
   WorldState* state_;
-  int world_rank_;
-  int context_;
-  int rank_;                 // my index within group_
-  std::vector<int> group_;   // world ranks of this communicator's members
+  int rank_;
   std::array<int, detail::kNumOps> seq_{};
   /// Last interrupt epoch this rank acknowledged (see mailbox.hpp).
   std::uint64_t interrupt_seen_ = 0;

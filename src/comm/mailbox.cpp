@@ -29,10 +29,8 @@ bool retries_in_flight(const Mailbox::WaitParams& wait) {
 /// generation marks the rank blocked until destruction restores even.
 class BlockScope {
  public:
-  BlockScope(BlockedSlot* slot, int kind, int context, int source, int tag)
-      : slot_(slot) {
+  BlockScope(BlockedSlot* slot, int kind, int source, int tag) : slot_(slot) {
     if (!slot_) return;
-    slot_->context.store(context, std::memory_order_relaxed);
     slot_->source.store(source, std::memory_order_relaxed);
     slot_->tag.store(tag, std::memory_order_relaxed);
     slot_->kind.store(kind, std::memory_order_relaxed);
@@ -53,10 +51,9 @@ class BlockScope {
 };
 
 [[noreturn]] void throw_timeout(const char* op, std::chrono::milliseconds deadline,
-                                int context, int source, int tag) {
+                                int source, int tag) {
   std::ostringstream os;
-  os << "threadcomm " << op << " timed out after " << deadline.count()
-     << " ms (context " << context << ", source ";
+  os << "threadcomm " << op << " timed out after " << deadline.count() << " ms (source ";
   if (source == kAnySource) {
     os << "ANY";
   } else {
@@ -69,14 +66,14 @@ class BlockScope {
     os << tag;
   }
   os << ')';
-  throw CommTimeout(os.str(), context, source, tag);
+  throw CommTimeout(os.str(), source, tag);
 }
 
 }  // namespace
 
-std::optional<Message> Mailbox::take_match(int context, int source, int tag) {
+std::optional<Message> Mailbox::take_match(int source, int tag) {
   for (auto it = queue_.begin(); it != queue_.end(); ++it) {
-    if (matches(*it, context, source, tag)) {
+    if (matches(*it, source, tag)) {
       Message msg = std::move(*it);
       queue_.erase(it);
       return msg;
@@ -85,9 +82,9 @@ std::optional<Message> Mailbox::take_match(int context, int source, int tag) {
   return std::nullopt;
 }
 
-std::optional<Status> Mailbox::find_match(int context, int source, int tag) const {
+std::optional<Status> Mailbox::find_match(int source, int tag) const {
   for (const auto& m : queue_) {
-    if (matches(m, context, source, tag)) {
+    if (matches(m, source, tag)) {
       return Status{m.source, m.tag, m.payload.size()};
     }
   }
@@ -102,19 +99,19 @@ void Mailbox::push(Message msg) {
   cv_.notify_all();
 }
 
-Message Mailbox::pop(int context, int source, int tag, const WaitParams& wait) {
+Message Mailbox::pop(int source, int tag, const WaitParams& wait) {
   util::LockGuard lock(mutex_);
   std::optional<BlockScope> blocked;
   auto deadline_at = std::chrono::steady_clock::now() + wait.deadline;
   for (;;) {
-    if (auto msg = take_match(context, source, tag)) return std::move(*msg);
+    if (auto msg = take_match(source, tag)) return std::move(*msg);
     if (wait.abort && wait.abort->load(std::memory_order_acquire)) throw WorldAborted{};
     if (interrupted(wait)) throw RecvInterrupted{};
-    if (!blocked) blocked.emplace(wait.slot, 1, context, source, tag);
+    if (!blocked) blocked.emplace(wait.slot, 1, source, tag);
     if (wait.deadline.count() > 0) {
       if (cv_.wait_until(mutex_, deadline_at) == std::cv_status::timeout) {
         // Re-scan once: a matching push may have raced the timeout.
-        if (auto msg = take_match(context, source, tag)) return std::move(*msg);
+        if (auto msg = take_match(source, tag)) return std::move(*msg);
         if (wait.abort && wait.abort->load(std::memory_order_acquire))
           throw WorldAborted{};
         if (interrupted(wait)) throw RecvInterrupted{};
@@ -124,7 +121,7 @@ Message Mailbox::pop(int context, int source, int tag, const WaitParams& wait) {
           deadline_at = std::chrono::steady_clock::now() + wait.deadline;
           continue;
         }
-        throw_timeout("recv", wait.deadline, context, source, tag);
+        throw_timeout("recv", wait.deadline, source, tag);
       }
     } else {
       cv_.wait(mutex_);
@@ -132,28 +129,28 @@ Message Mailbox::pop(int context, int source, int tag, const WaitParams& wait) {
   }
 }
 
-std::optional<Message> Mailbox::try_pop(int context, int source, int tag) {
+std::optional<Message> Mailbox::try_pop(int source, int tag) {
   util::LockGuard lock(mutex_);
-  return take_match(context, source, tag);
+  return take_match(source, tag);
 }
 
-std::optional<Status> Mailbox::probe(int context, int source, int tag) const {
+std::optional<Status> Mailbox::probe(int source, int tag) const {
   util::LockGuard lock(mutex_);
-  return find_match(context, source, tag);
+  return find_match(source, tag);
 }
 
-Status Mailbox::probe_wait(int context, int source, int tag, const WaitParams& wait) {
+Status Mailbox::probe_wait(int source, int tag, const WaitParams& wait) {
   util::LockGuard lock(mutex_);
   std::optional<BlockScope> blocked;
   auto deadline_at = std::chrono::steady_clock::now() + wait.deadline;
   for (;;) {
-    if (auto status = find_match(context, source, tag)) return *status;
+    if (auto status = find_match(source, tag)) return *status;
     if (wait.abort && wait.abort->load(std::memory_order_acquire)) throw WorldAborted{};
     if (interrupted(wait)) throw RecvInterrupted{};
-    if (!blocked) blocked.emplace(wait.slot, 2, context, source, tag);
+    if (!blocked) blocked.emplace(wait.slot, 2, source, tag);
     if (wait.deadline.count() > 0) {
       if (cv_.wait_until(mutex_, deadline_at) == std::cv_status::timeout) {
-        if (auto status = find_match(context, source, tag)) return *status;
+        if (auto status = find_match(source, tag)) return *status;
         if (wait.abort && wait.abort->load(std::memory_order_acquire))
           throw WorldAborted{};
         if (interrupted(wait)) throw RecvInterrupted{};
@@ -161,7 +158,7 @@ Status Mailbox::probe_wait(int context, int source, int tag, const WaitParams& w
           deadline_at = std::chrono::steady_clock::now() + wait.deadline;
           continue;
         }
-        throw_timeout("probe", wait.deadline, context, source, tag);
+        throw_timeout("probe", wait.deadline, source, tag);
       }
     } else {
       cv_.wait(mutex_);

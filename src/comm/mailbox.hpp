@@ -1,6 +1,6 @@
 // Per-rank mailbox with MPI-style envelope matching: a recv with
-// (context, source|ANY, tag|ANY) takes the *earliest* matching message,
-// which gives the per-(source,tag) FIFO ordering MPI guarantees.
+// (source|ANY, tag|ANY) takes the *earliest* matching message, which
+// gives the per-(source,tag) FIFO ordering MPI guarantees.
 //
 // Blocking waits are watchdog-aware: they honour the world abort flag,
 // an optional per-call deadline (a hang becomes a typed CommTimeout
@@ -47,16 +47,14 @@ class RecvInterrupted : public std::runtime_error {
 /// conversion of a hang into a typed, catchable error.
 class CommTimeout : public std::runtime_error {
  public:
-  CommTimeout(const std::string& what, int context, int source, int tag)
-      : std::runtime_error(what), context_(context), source_(source), tag_(tag) {}
+  CommTimeout(const std::string& what, int source, int tag)
+      : std::runtime_error(what), source_(source), tag_(tag) {}
 
-  int context() const noexcept { return context_; }
   /// Requested source (world rank, or kAnySource).
   int source() const noexcept { return source_; }
   int tag() const noexcept { return tag_; }
 
  private:
-  int context_;
   int source_;
   int tag_;
 };
@@ -70,7 +68,6 @@ struct BlockedSlot {
   /// 0 = running, 1 = blocked in recv, 2 = blocked in probe,
   /// -1 = finished (returned from rank_main).
   std::atomic<int> kind{0};
-  std::atomic<int> context{0};
   std::atomic<int> source{0};
   std::atomic<int> tag{0};
 };
@@ -105,22 +102,22 @@ class Mailbox {
   /// Enqueues a message and wakes matching receivers.
   void push(Message msg);
 
-  /// Blocks until a message matching (context, source, tag) is available
-  /// and removes it. Throws WorldAborted if the abort flag fires and
+  /// Blocks until a message matching (source, tag) is available and
+  /// removes it. Throws WorldAborted if the abort flag fires and
   /// CommTimeout if the deadline expires first.
-  Message pop(int context, int source, int tag, const WaitParams& wait);
+  Message pop(int source, int tag, const WaitParams& wait);
 
   /// Nonblocking pop: removes and returns the earliest message matching
-  /// (context, source, tag) if one is queued right now, else nullopt.
+  /// (source, tag) if one is queued right now, else nullopt.
   /// Never waits — the async engine's try-drain progress primitive.
-  std::optional<Message> try_pop(int context, int source, int tag);
+  std::optional<Message> try_pop(int source, int tag);
 
   /// Non-destructive match test; returns envelope info of the earliest
   /// matching message, or nullopt if none is queued right now.
-  std::optional<Status> probe(int context, int source, int tag) const;
+  std::optional<Status> probe(int source, int tag) const;
 
   /// Blocking probe with the same abort/deadline semantics as pop.
-  Status probe_wait(int context, int source, int tag, const WaitParams& wait);
+  Status probe_wait(int source, int tag, const WaitParams& wait);
 
   /// Number of queued messages (test/diagnostic use).
   std::size_t queued() const;
@@ -134,18 +131,16 @@ class Mailbox {
   void notify_abort();
 
  private:
-  static bool matches(const Message& m, int context, int source, int tag) {
-    return m.context == context && (source == kAnySource || m.source == source) &&
+  static bool matches(const Message& m, int source, int tag) {
+    return (source == kAnySource || m.source == source) &&
            (tag == kAnyTag || m.tag == tag);
   }
 
   /// Removes and returns the earliest matching message, if any queued.
-  std::optional<Message> take_match(int context, int source, int tag)
-      PICPRK_REQUIRES(mutex_);
+  std::optional<Message> take_match(int source, int tag) PICPRK_REQUIRES(mutex_);
 
   /// Envelope of the earliest matching message, without consuming it.
-  std::optional<Status> find_match(int context, int source, int tag) const
-      PICPRK_REQUIRES(mutex_);
+  std::optional<Status> find_match(int source, int tag) const PICPRK_REQUIRES(mutex_);
 
   mutable util::Mutex mutex_;
   util::CondVar cv_;

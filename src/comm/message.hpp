@@ -57,13 +57,12 @@ inline constexpr std::uint8_t kFlagRetransmit = 0x2;
 /// residual drain distinguish a dedup-window hit from a genuine leak.
 inline constexpr std::uint8_t kFlagInjectedDup = 0x4;
 
-/// A delivered message. `context` scopes communicators (Comm::split);
-/// user tags are non-negative, internal collective tags are negative.
-/// `seq`/`ack` belong to the reliable transport: per-(source, dest)
-/// stream sequence number and cumulative acknowledgement piggybacked on
-/// the reverse direction; both 0 on unreliable worlds.
+/// A delivered message. User tags are non-negative, internal collective
+/// tags are negative. `seq`/`ack` belong to the reliable transport:
+/// per-(source, dest) stream sequence number and cumulative
+/// acknowledgement piggybacked on the reverse direction; both 0 on
+/// unreliable worlds.
 struct Message {
-  int context = 0;
   int source = 0;
   int tag = 0;
   std::uint64_t seq = 0;

@@ -23,8 +23,7 @@ void describe_slot(std::ostringstream& os, int rank, const BlockedSlot& slot) {
   } else if (kind == 0) {
     os << "running (not blocked)";
   } else {
-    os << "blocked in " << (kind == 1 ? "recv" : "probe") << "(context="
-       << slot.context.load(std::memory_order_relaxed) << ", source=";
+    os << "blocked in " << (kind == 1 ? "recv" : "probe") << "(source=";
     const int src = slot.source.load(std::memory_order_relaxed);
     if (src == kAnySource) {
       os << "ANY";

@@ -67,8 +67,6 @@ struct WorldState {
   std::vector<BlockedSlot> blocked;
   /// Abort flag set when any rank throws; blocking calls bail out.
   std::atomic<bool> abort{false};
-  /// Allocator for communicator context ids (Comm::split).
-  std::atomic<int> next_context{1};
   /// Total payload bytes pushed through mailboxes (diagnostics).
   std::atomic<std::uint64_t> bytes_sent{0};
   std::atomic<std::uint64_t> messages_sent{0};
@@ -100,10 +98,10 @@ struct WorldState {
 };
 
 /// Runs `rank_main(comm)` on `size` ranks, each on its own thread, with a
-/// world communicator (context 0) spanning all ranks. Blocks until every
-/// rank returns. If any rank throws, the world aborts (other ranks'
-/// blocking calls throw WorldAborted) and the first exception is
-/// rethrown to the caller.
+/// world communicator spanning all ranks. Blocks until every rank
+/// returns. If any rank throws, the world aborts (other ranks' blocking
+/// calls throw WorldAborted) and the first exception is rethrown to the
+/// caller.
 class World {
  public:
   explicit World(int size);

@@ -104,7 +104,7 @@ void CheckpointStore::clear() {
   buddy_.clear();
 }
 
-// picprk-lint: suppress(reach: test observer read by tests/ft/test_checkpoint.cpp)
+// picprk-lint: suppress(reach: read by CheckpointStore.AccountingTracksBytesAndSaves)
 std::uint64_t CheckpointStore::stored_bytes() const {
   std::scoped_lock lock(mutex_);
   std::uint64_t total = 0;

@@ -54,8 +54,6 @@ class CheckpointStore {
   std::uint64_t stored_bytes() const;
   /// Total save calls accepted (primary + buddy), over the store's life.
   std::uint64_t saves() const { return saves_->value(); }
-  /// Successful load() calls — snapshots actually used for recovery.
-  std::uint64_t restores() const { return restores_->value(); }
 
   /// Per-instance metric registry ("ft/checkpoint_saves", ...); stores
   /// are often test- or run-scoped, so counts stay with the instance.

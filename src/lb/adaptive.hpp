@@ -63,10 +63,6 @@ class AdaptiveStrategy final : public Strategy {
   bool wants_feedback() const override { return true; }
   void note_applied(const ApplyFeedback& feedback) override;
 
-  /// Test access: measured cost of the last applied event.
-  double last_cost_seconds() const { return last_cost_seconds_; }
-  double last_moved_load() const { return last_moved_load_; }
-
  private:
   bool should_rebalance(double lambda, double mean_load,
                         std::uint32_t interval_steps,

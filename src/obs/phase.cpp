@@ -116,13 +116,13 @@ bool Trace::write_json(const std::string& path) const {
   return static_cast<bool>(f);
 }
 
-// picprk-lint: suppress(reach: test observer of the trace buffers (tests/obs, tests/par))
+// picprk-lint: suppress(reach: test observer read by TraceTest.LaneIsIdempotentPerPidTid)
 std::size_t Trace::lane_count() const {
   util::LockGuard lock(mutex_);
   return lanes_.size();
 }
 
-// picprk-lint: suppress(reach: test observer of the trace buffers (tests/obs, tests/par))
+// picprk-lint: suppress(reach: test observer read by PhaseTest.RecordsTraceSpanWhenEnabled)
 std::uint64_t Trace::event_count() const {
   util::LockGuard lock(mutex_);
   std::uint64_t n = 0;
@@ -130,7 +130,8 @@ std::uint64_t Trace::event_count() const {
   return n;
 }
 
-// picprk-lint: suppress(reach: test observer of the trace buffers (tests/obs, tests/par))
+/* picprk-lint: suppress(reach: test observer read by
+   TraceTest.RecordDropsBeyondReservedCapacityInsteadOfGrowing) */
 std::uint64_t Trace::dropped_count() const {
   util::LockGuard lock(mutex_);
   std::uint64_t n = 0;

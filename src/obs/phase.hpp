@@ -171,8 +171,12 @@ class Trace {
   std::string to_json() const;
   bool write_json(const std::string& path) const;
 
+  // picprk-lint: suppress(reach: read by TraceTest.LaneIsIdempotentPerPidTid)
   std::size_t lane_count() const { return 0; }
+  // picprk-lint: suppress(reach: read by PhaseTest.RecordsTraceSpanWhenEnabled)
   std::uint64_t event_count() const { return 0; }
+  /* picprk-lint: suppress(reach: test observer read by
+     TraceTest.RecordDropsBeyondReservedCapacityInsteadOfGrowing) */
   std::uint64_t dropped_count() const { return 0; }
 
  private:

@@ -82,7 +82,7 @@ Counter* Registry::find_counter(const std::string& name) const {
   return const_cast<Counter*>(find_named(counters_, name));
 }
 
-// picprk-lint: suppress(reach: test observer read by tests/obs/test_registry.cpp)
+// picprk-lint: suppress(reach: read by RegistryTest.FindReturnsNullForUnknownNames)
 Gauge* Registry::find_gauge(const std::string& name) const {
   util::LockGuard lock(mutex_);
   return const_cast<Gauge*>(find_named(gauges_, name));
@@ -146,7 +146,7 @@ std::size_t Registry::size() const {
   return counters_.size() + gauges_.size() + histograms_.size();
 }
 
-// picprk-lint: suppress(reach: tests/obs/test_registry.cpp zeroes instruments with it)
+// picprk-lint: suppress(reach: RegistryTest.ResetValuesZeroesInstrumentsButKeepsNames calls it)
 void Registry::reset_values() {
   util::LockGuard lock(mutex_);
   for (auto& c : counters_) c.instrument.reset();

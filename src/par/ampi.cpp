@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "par/pic_vp.hpp"
-#include "util/assert.hpp"
 #include "util/timer.hpp"
 #include "vpr/runtime.hpp"
 
@@ -14,10 +13,6 @@ namespace picprk::par {
 
 DriverResult run_ampi(const RunConfig& config) {
   VpHost host(config);
-  // A job may run VPs without cells; ampi keeps at least one cell per VP
-  // column and row.
-  PICPRK_EXPECTS(host.shared().vcart.px() <= config.init.grid.cells);
-  PICPRK_EXPECTS(host.shared().vcart.py() <= config.init.grid.cells);
   vpr::Runtime& runtime = host.runtime();
   // Particles per worker: the λ samples and the busiest worker's count.
   const auto worker_particles = [&] {

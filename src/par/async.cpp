@@ -241,7 +241,7 @@ class AsyncEngine final : public vpr::VpContext {
         throw comm::CommTimeout(
             "async drain: no progress within " + std::to_string(deadline.count()) +
                 " ms waiting for step " + std::to_string(step_) + " to terminate",
-            0, comm::kAnySource, comm::kAsyncParticlesTag);
+            comm::kAnySource, comm::kAsyncParticlesTag);
       }
       // Nothing ready: block on the mailbox until any envelope arrives
       // instead of yield-spinning. On oversubscribed hosts the spin

@@ -328,7 +328,7 @@ DriverResult run_block(comm::Comm& comm, const RunConfig& config) {
       ++checkpoint_rounds;
     }
     if (config.ft.injector != nullptr) {
-      config.ft.injector->begin_step(comm.world_rank(), step, &comm.abort_flag());
+      config.ft.injector->begin_step(comm.rank(), step, &comm.abort_flag());
     }
 
     if (!config.events.empty()) tracker.apply(step, block, particles, &tiles);

@@ -99,9 +99,6 @@ class EventTracker {
   /// Expected global id checksum; collective (one allreduce).
   std::uint64_t finalize(comm::Comm& comm) const;
 
-  /// Serial variant of finalize (no communication).
-  std::uint64_t finalize_serial() const { return base_ - local_removed_sum_; }
-
   /// Checkpoint/restart access to the only mutable tracker state: the
   /// sum of ids this rank has removed so far.
   std::uint64_t removed_sum() const { return local_removed_sum_; }

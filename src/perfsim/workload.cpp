@@ -25,7 +25,8 @@ ColumnWorkload ColumnWorkload::from_expected(const pic::InitParams& params) {
   return ColumnWorkload(std::move(counts));
 }
 
-// picprk-lint: suppress(reach: exact-count reference the perfsim tests compare against)
+/* picprk-lint: suppress(reach: exact-count reference read by
+   ColumnWorkloadTest.FromInitializerMatchesRealColumnTotals) */
 ColumnWorkload ColumnWorkload::from_initializer(const pic::Initializer& init) {
   const std::int64_t c = init.params().grid.cells;
   std::vector<double> counts(static_cast<std::size_t>(c), 0.0);

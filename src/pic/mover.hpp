@@ -164,10 +164,9 @@ void move_all(std::span<Particle> particles, const GridSpec& grid,
 }
 
 /// Structure-of-arrays mover: the vectorized fast path. Iterations are
-/// independent, so the loop carries an `omp simd` hint (honoured by
-/// -fopenmp or -fopenmp-simd builds; harmless otherwise); with OpenMP
-/// enabled the loop is additionally thread-parallel. The body is the
-/// same move_scalars kernel as the AoS movers.
+/// independent, so the loop carries an `omp simd` hint (honoured by the
+/// -fopenmp-simd build; harmless otherwise). The body is the same
+/// move_scalars kernel as the AoS movers.
 template <typename Charges>
 PICPRK_HOT void move_all_soa(ParticleSoA& soa, const GridSpec& grid, const Charges& charges, double dt) {
   const auto n = static_cast<std::int64_t>(soa.size());
@@ -176,11 +175,7 @@ PICPRK_HOT void move_all_soa(ParticleSoA& soa, const GridSpec& grid, const Charg
   double* const vx = soa.vx.data();
   double* const vy = soa.vy.data();
   const double* const q = soa.q.data();
-#if defined(PICPRK_HAVE_OPENMP)
-#pragma omp parallel for simd schedule(static)
-#else
 #pragma omp simd
-#endif
   for (std::int64_t i = 0; i < n; ++i) {
     const auto s = static_cast<std::size_t>(i);
     move_scalars(x[s], y[s], vx[s], vy[s], q[s], grid, charges, dt);

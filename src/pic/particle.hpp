@@ -135,6 +135,7 @@ struct ParticleSoA {
 
   /// O(1) unordered removal: moves the last row into slot `i` and pops.
   /// Invalidates any tile index over the store (order changes).
+  // picprk-lint: suppress(reach: ParticleSoA.SwapRemoveKeepsAllColumnsInLockstep calls it)
   void swap_remove(std::size_t i) {
     const std::size_t last = size() - 1;
 #define PICPRK_FIELD(type, name, init) name[i] = name[last];

@@ -43,6 +43,7 @@ class TrajectoryValidator {
   const std::vector<TrajectoryFault>& faults() const { return faults_; }
 
   /// Steps × particles validated so far.
+  // picprk-lint: suppress(reach: read by TrajectoryValidatorTest.CleanRunHasNoFaults)
   std::uint64_t checks_performed() const { return checks_; }
 
  private:

@@ -82,6 +82,8 @@ class Server {
 
   /// Canonical placement-plan log, one entry per cycle — the replay
   /// observable: two servers fed identical telemetry log identically.
+  /* picprk-lint: suppress(reach: test observer read by
+     ServerTest.TwoServersReplayPlacementPlansBitForBit) */
   const std::vector<std::string>& placement_log() const { return placement_log_; }
 
   JobTable& table() { return table_; }

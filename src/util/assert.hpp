@@ -38,6 +38,7 @@ class AssertionError : public std::logic_error {
   /// "Precondition", "Postcondition" or "Invariant".
   const char* kind() const noexcept { return kind_; }
   /// The failed expression, verbatim.
+  // picprk-lint: suppress(reach: read by Contracts.AccessorsExposeStructuredLocation)
   const char* expression() const noexcept { return expression_; }
   const char* file() const noexcept { return file_; }
   unsigned line() const noexcept { return line_; }

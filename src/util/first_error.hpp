@@ -5,8 +5,7 @@
 // convention.
 //
 // Usage: workers call record() from their catch(...) blocks; the owner
-// polls failed() on its fast path (a relaxed atomic read, no lock) and
-// calls rethrow_if_any() after joining.
+// calls rethrow_if_any() (or take()) after joining.
 #pragma once
 
 #include <atomic>
@@ -28,7 +27,7 @@ class FirstError {
   /// Convenience: record the in-flight exception of a catch(...) block.
   void record_current() { record(std::current_exception()); }
 
-  /// Lock-free check used by worker fast paths to stop early.
+  /// Lock-free check: whether an error is held.
   bool failed() const { return failed_.load(std::memory_order_acquire); }
 
   /// Removes and returns the stored error (null if none), resetting the

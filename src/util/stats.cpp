@@ -21,7 +21,7 @@ void Accumulator::add(double x) {
   m2_ += delta * (x - mean_);
 }
 
-// picprk-lint: suppress(reach: Welford variance, checked by tests/util/test_stats.cpp)
+// picprk-lint: suppress(reach: Welford variance, read by AccumulatorTest.BasicMoments)
 double Accumulator::variance() const {
   return count_ == 0 ? 0.0 : m2_ / static_cast<double>(count_);
 }
@@ -41,11 +41,6 @@ LoadImbalance imbalance(std::span<const double> loads) {
   r.ratio = r.mean > 0.0 ? r.max / r.mean : 1.0;
   r.lost_fraction = r.max > 0.0 ? (r.max - r.mean) / r.max : 0.0;
   return r;
-}
-
-LoadImbalance imbalance_u64(std::span<const std::uint64_t> loads) {
-  std::vector<double> d(loads.begin(), loads.end());
-  return imbalance(std::span<const double>(d));
 }
 
 double percentile(std::vector<double> values, double p) {

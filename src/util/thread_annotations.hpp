@@ -40,8 +40,6 @@
   PICPRK_THREAD_ANNOTATION(acquire_capability(__VA_ARGS__))
 #define PICPRK_RELEASE(...) \
   PICPRK_THREAD_ANNOTATION(release_capability(__VA_ARGS__))
-#define PICPRK_TRY_ACQUIRE(...) \
-  PICPRK_THREAD_ANNOTATION(try_acquire_capability(__VA_ARGS__))
 #define PICPRK_EXCLUDES(...) PICPRK_THREAD_ANNOTATION(locks_excluded(__VA_ARGS__))
 #define PICPRK_RETURN_CAPABILITY(x) PICPRK_THREAD_ANNOTATION(lock_returned(x))
 #define PICPRK_NO_THREAD_SAFETY_ANALYSIS \
@@ -60,7 +58,6 @@ class PICPRK_CAPABILITY("mutex") Mutex {
 
   void lock() PICPRK_ACQUIRE() { mutex_.lock(); }
   void unlock() PICPRK_RELEASE() { mutex_.unlock(); }
-  bool try_lock() PICPRK_TRY_ACQUIRE(true) { return mutex_.try_lock(); }
 
   /// The underlying std::mutex — needed by CondVar to interoperate with
   /// std::condition_variable. Do not lock/unlock through it directly;
@@ -119,7 +116,6 @@ class CondVar {
     return status;
   }
 
-  void notify_one() noexcept { cv_.notify_one(); }
   void notify_all() noexcept { cv_.notify_all(); }
 
  private:

@@ -33,6 +33,7 @@ class Pup {
   Mode mode() const { return mode_; }
   bool packing() const { return mode_ == Mode::Pack; }
   bool unpacking() const { return mode_ == Mode::Unpack; }
+  // picprk-lint: suppress(reach: read by PupTest.SizingModeWritesNothing)
   bool sizing() const { return mode_ == Mode::Size; }
 
   /// Scalar / trivially-copyable value.
@@ -122,6 +123,7 @@ std::vector<std::byte> pup_pack(T& object) {
 
 /// Size a pupable object's packed representation.
 template <typename T>
+// picprk-lint: suppress(reach: PupTest.SizeMatchesPack checks the Size pass with it)
 std::size_t pup_size(T& object) {
   Pup p(Pup::Mode::Size);
   object.pup(p);

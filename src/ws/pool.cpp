@@ -6,7 +6,6 @@
 #include <string>
 #include <thread>
 
-#include "comm/cart.hpp"
 #include "util/assert.hpp"
 #include "util/first_error.hpp"
 #include "util/rng.hpp"
@@ -42,15 +41,6 @@ class TaskDeque {
     return t;
   }
 
-  /// Abandon-everything drain (error path); returns how many tasks were
-  /// still queued.
-  std::size_t drain() {
-    util::LockGuard lock(mutex_);
-    const std::size_t n = deque_.size();
-    deque_.clear();
-    return n;
-  }
-
   bool empty() {
     util::LockGuard lock(mutex_);
     return deque_.empty();
@@ -74,8 +64,8 @@ class TaskDeque {
 /// batch: on a 4-vCPU host a batch of 16 equal 0.5 ms tasks on 4
 /// workers took 1.7-1.9x its ideal time, and 1.02-1.12x with the
 /// dispatcher as worker 0. The deques are members — not run-locals —
-/// precisely so reuse is auditable: every dispatch ends by proving (or
-/// restoring, on the error path) "all deques empty".
+/// precisely so reuse is auditable: every dispatch ends by proving "all
+/// deques empty", the failed batches included.
 struct WorkStealingPool::Shared {
   explicit Shared(WorkStealingPool& p) : pool(p) {
     const auto n = static_cast<std::size_t>(pool.workers_);
@@ -151,31 +141,33 @@ struct WorkStealingPool::Shared {
                          ? nullptr
                          : pool.worker_lanes_[static_cast<std::size_t>(w)],
                      pool.run_hist_);
-    try {
-      while (remaining.load(std::memory_order_acquire) > 0 && !error.failed()) {
-        std::optional<std::size_t> task = deques[static_cast<std::size_t>(w)].pop_back();
-        if (!task && steal && pool.workers_ > 1) {
-          // Steal attempt from a random victim; a couple of tries, then
-          // re-check the termination condition.
-          for (int attempt = 0; attempt < 2 * pool.workers_ && !task; ++attempt) {
-            const int victim = static_cast<int>(
-                rng.next_below(static_cast<std::uint64_t>(pool.workers_)));
-            if (victim == w) continue;
-            task = deques[static_cast<std::size_t>(victim)].pop_front();
-          }
+    while (remaining.load(std::memory_order_acquire) > 0) {
+      std::optional<std::size_t> task = deques[static_cast<std::size_t>(w)].pop_back();
+      if (!task && steal && pool.workers_ > 1) {
+        // Steal attempt from a random victim; a couple of tries, then
+        // re-check the termination condition.
+        for (int attempt = 0; attempt < 2 * pool.workers_ && !task; ++attempt) {
+          const int victim = static_cast<int>(
+              rng.next_below(static_cast<std::uint64_t>(pool.workers_)));
+          if (victim == w) continue;
+          task = deques[static_cast<std::size_t>(victim)].pop_front();
         }
-        if (!task) {
-          if (!steal) break;  // static schedule: own deque drained
-          std::this_thread::yield();
-          continue;
-        }
-        if (initial_owner[*task] != w) ++stolen;
-        body(*task, w);
-        ++executed;
-        remaining.fetch_sub(1, std::memory_order_acq_rel);
       }
-    } catch (...) {
-      error.record_current();
+      if (!task) {
+        if (!steal) break;  // static schedule: own deque drained
+        std::this_thread::yield();
+        continue;
+      }
+      if (initial_owner[*task] != w) ++stolen;
+      // A throw does not end the batch: every dealt task runs, so which
+      // tasks ran never depends on when the first error happened.
+      try {
+        body(*task, w);
+      } catch (...) {
+        error.record_current();
+      }
+      ++executed;
+      remaining.fetch_sub(1, std::memory_order_acq_rel);
     }
     executed_per_worker[static_cast<std::size_t>(w)] = executed;
     steals_per_worker[static_cast<std::size_t>(w)] = stolen;
@@ -229,21 +221,6 @@ WorkStealingPool::WorkStealingPool(int workers, const obs::Hooks& hooks)
 
 WorkStealingPool::~WorkStealingPool() = default;
 
-PoolStats WorkStealingPool::run(std::size_t count,
-                                const std::function<void(std::size_t, int)>& fn,
-                                bool allow_steal) {
-  // Blockwise dealing: contiguous task ranges per worker, preserving
-  // the spatial locality of adjacent tasks.
-  std::vector<int> owners(count);
-  for (int w = 0; w < workers_; ++w) {
-    const auto range = comm::block_range(static_cast<std::int64_t>(count), workers_, w);
-    for (std::int64_t t = range.lo; t < range.hi; ++t) {
-      owners[static_cast<std::size_t>(t)] = w;
-    }
-  }
-  return run_placed(count, std::span<const int>(owners), fn, allow_steal);
-}
-
 PoolStats WorkStealingPool::run_placed(std::size_t count, std::span<const int> owners,
                                        const std::function<void(std::size_t, int)>& fn,
                                        bool allow_steal) {
@@ -278,21 +255,13 @@ PoolStats WorkStealingPool::run_placed(std::size_t count, std::span<const int> o
     stats.steals += stats.steals_per_worker[static_cast<std::size_t>(w)];
   }
 
-  if (sh.error.failed()) {
-    // Queue-drain path: abandon whatever the failed batch left queued
-    // so the *next* client attaches to a clean pool, then propagate the
-    // first exception (record/rethrow clears it — the pool stays
-    // reusable).
-    std::size_t abandoned = 0;
-    for (auto& d : sh.deques) abandoned += d.drain();
-    sh.remaining.store(0, std::memory_order_release);
-    PICPRK_ASSERT_MSG(abandoned <= count, "work-stealing pool invented tasks");
-    sh.error.rethrow_if_any();
-  }
   PICPRK_ASSERT_MSG(sh.remaining.load() == 0, "work-stealing pool lost tasks");
   for (auto& d : sh.deques) {
     PICPRK_ASSERT_MSG(d.empty(), "work-stealing pool left tasks queued");
   }
+  // The first task exception propagates once the whole batch has run;
+  // rethrowing clears it, so the pool stays reusable.
+  sh.error.rethrow_if_any();
   if (steals_counter_ != nullptr) steals_counter_->add(stats.steals);
   // Per-batch observation alongside the pool-lifetime aggregate: the
   // histogram answers "how much did *this* dispatch steal", which the

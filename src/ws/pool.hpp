@@ -4,21 +4,21 @@
 // the minimal such runtime so the kernel can be driven by dynamic
 // scheduling instead of ownership migration).
 //
-// Tasks are indices [0, count). By default they are dealt blockwise to
-// the workers' deques (preserving spatial locality of adjacent tasks);
-// run_placed() instead takes an explicit initial-owner map — the hook
-// the svc job server uses to apply a cross-job lb:: placement before
-// stealing smooths the residue. Each worker pops from the back of its
-// own deque and steals from the front of a random victim when empty —
-// the classic owner-LIFO/thief-FIFO policy.
+// Tasks are indices [0, count), each dealt to the deque of the worker an
+// explicit owner map names — the hook through which the vpr runtime
+// keeps a VP on its worker and the svc job server applies a cross-job
+// lb:: placement before stealing smooths the residue. Each worker pops
+// from the back of its own deque and steals from the front of a random
+// victim when empty — the classic owner-LIFO/thief-FIFO policy.
 //
 // The pool is a long-lived, multi-client resource (docs/SERVICE.md):
-// the thread that calls run() works as worker 0, the other workers'
-// threads are spawned once at construction and parked between run()
-// calls, every run() leaves the deques drained — including runs
-// that end in a task exception — and per-run statistics start from
-// zero, so a second client attaching after another drains sees exactly
-// the pool a fresh construction would give it.
+// the thread that calls run_placed() works as worker 0, the other
+// workers' threads are spawned once at construction and parked between
+// batches, every batch runs each of its tasks exactly once — a task
+// that throws included, whose first exception is rethrown after the
+// batch — and per-run statistics start from zero, so a second client
+// attaching after another drains sees exactly the pool a fresh
+// construction would give it.
 #pragma once
 
 #include <cstddef>
@@ -44,7 +44,7 @@ struct PoolStats {
 class WorkStealingPool {
  public:
   /// Spawns the persistent threads of workers 1..workers-1 (the caller
-  /// of run() works as worker 0). `hooks` (optional) attaches
+  /// of run_placed() works as worker 0). `hooks` (optional) attaches
   /// the pool to an obs registry/trace: the pool registers its
   /// task/steal counters and one trace lane per worker at construction,
   /// before any task runs.
@@ -56,21 +56,16 @@ class WorkStealingPool {
 
   int workers() const { return workers_; }
 
-  /// Runs fn(task, worker) for every task in [0, count) exactly once;
-  /// blocks until all complete. Tasks are dealt blockwise (task t
-  /// initially owned by worker t·W/count). Exceptions from tasks
-  /// propagate (first one wins); the pool drains and stays reusable.
-  /// When `allow_steal` is false the pool degrades to a static
-  /// blockwise schedule — the baseline the stealing is measured
-  /// against.
-  PoolStats run(std::size_t count, const std::function<void(std::size_t, int)>& fn,
-                bool allow_steal = true);
-
-  /// Like run(), but task t is initially dealt to worker owners[t] — an
-  /// externally decided placement (e.g. an lb::Strategy plan over jobs
-  /// as super-VPs). owners.size() must equal count and every entry must
-  /// be a valid worker id. With allow_steal=false the placement is
-  /// executed verbatim; with stealing, idle workers may still raid.
+  /// Runs fn(task, worker) for every task in [0, count) exactly once,
+  /// task t initially dealt to worker owners[t] — an externally decided
+  /// placement (a VP's worker, or an lb::Strategy plan over jobs as
+  /// super-VPs); blocks until all complete. owners.size() must equal
+  /// count and every entry must be a valid worker id. With
+  /// allow_steal=false the placement is executed verbatim — the static
+  /// schedule stealing is measured against; with stealing, idle workers
+  /// may still raid. A task that throws does not stop the batch: every
+  /// other task still runs, then the first exception propagates and the
+  /// pool stays reusable.
   PoolStats run_placed(std::size_t count, std::span<const int> owners,
                        const std::function<void(std::size_t, int)>& fn,
                        bool allow_steal = true);
@@ -85,7 +80,7 @@ class WorkStealingPool {
   obs::Counter* tasks_counter_ = nullptr;
   obs::Counter* steals_counter_ = nullptr;
   obs::Histogram* run_hist_ = nullptr;
-  /// Steal count of each run/run_placed batch — the per-dispatch
+  /// Steal count of each run_placed batch — the per-dispatch
   /// distribution, next to the pool-lifetime ws/steals aggregate.
   obs::Histogram* steals_per_run_hist_ = nullptr;
 };

@@ -84,55 +84,6 @@ TEST_P(Collectives, AllreduceSumAndMax) {
   });
 }
 
-TEST_P(Collectives, GatherVariableLengths) {
-  const int p = GetParam();
-  World world(p);
-  world.run([p](Comm& comm) {
-    // Rank r contributes r elements (rank 0 contributes none).
-    std::vector<int> mine(static_cast<std::size_t>(comm.rank()), comm.rank());
-    auto gathered = comm.gather(std::span<const int>(mine), 0);
-    if (comm.rank() == 0) {
-      ASSERT_EQ(gathered.size(), static_cast<std::size_t>(p));
-      for (int r = 0; r < p; ++r) {
-        EXPECT_EQ(gathered[static_cast<std::size_t>(r)].size(),
-                  static_cast<std::size_t>(r));
-        for (int v : gathered[static_cast<std::size_t>(r)]) EXPECT_EQ(v, r);
-      }
-    } else {
-      EXPECT_TRUE(gathered.empty());
-    }
-  });
-}
-
-TEST_P(Collectives, AllgatherEveryRankSeesAll) {
-  const int p = GetParam();
-  World world(p);
-  world.run([p](Comm& comm) {
-    std::vector<int> mine{comm.rank(), comm.rank() * 2};
-    auto all = comm.allgather(std::span<const int>(mine));
-    ASSERT_EQ(all.size(), static_cast<std::size_t>(p));
-    for (int r = 0; r < p; ++r) {
-      ASSERT_EQ(all[static_cast<std::size_t>(r)].size(), 2u);
-      EXPECT_EQ(all[static_cast<std::size_t>(r)][0], r);
-      EXPECT_EQ(all[static_cast<std::size_t>(r)][1], r * 2);
-    }
-  });
-}
-
-TEST_P(Collectives, AllgatherValue) {
-  const int p = GetParam();
-  World world(p);
-  world.run([p](Comm& comm) {
-    auto all = comm.allgather_value<std::uint64_t>(
-        static_cast<std::uint64_t>(comm.rank() * comm.rank()));
-    ASSERT_EQ(all.size(), static_cast<std::size_t>(p));
-    for (int r = 0; r < p; ++r) {
-      EXPECT_EQ(all[static_cast<std::size_t>(r)],
-                static_cast<std::uint64_t>(r) * static_cast<std::uint64_t>(r));
-    }
-  });
-}
-
 TEST_P(Collectives, AlltoallVariableExchange) {
   const int p = GetParam();
   World world(p);
@@ -175,8 +126,8 @@ TEST(CollectivesEdge, SingleRankCollectivesAreIdentity) {
     EXPECT_EQ(data.size(), 3u);
     const auto sum = comm.allreduce_value<int>(7, [](int a, int b) { return a + b; });
     EXPECT_EQ(sum, 7);
-    auto all = comm.allgather_value<int>(9);
-    EXPECT_EQ(all, std::vector<int>{9});
+    const auto in = comm.alltoall(std::vector<std::vector<int>>{{9}});
+    EXPECT_EQ(in, std::vector<std::vector<int>>{{9}});
   });
 }
 

@@ -23,7 +23,6 @@ using namespace std::chrono_literals;
 
 comm::Message make_msg(int source, int tag, std::size_t bytes = 8) {
   comm::Message m;
-  m.context = 0;
   m.source = source;
   m.tag = tag;
   m.payload.assign(bytes, std::byte{0});
@@ -106,7 +105,7 @@ TEST(MailboxBlocking, PopBlocksUntilPush) {
   comm::Mailbox box;
   std::atomic<bool> popped{false};
   std::thread receiver([&] {
-    const comm::Message m = box.pop(0, comm::kAnySource, comm::kAnyTag, {});
+    const comm::Message m = box.pop(comm::kAnySource, comm::kAnyTag, {});
     EXPECT_EQ(m.source, 3);
     EXPECT_EQ(m.tag, 7);
     popped.store(true);
@@ -124,10 +123,10 @@ TEST(MailboxBlocking, FifoPerSourceAndTag) {
   box.push(make_msg(2, 5, 2));
   box.push(make_msg(1, 5, 3));
   // Matching (source=1, tag=5) must deliver in push order.
-  EXPECT_EQ(box.pop(0, 1, 5, {}).payload.size(), 1u);
-  EXPECT_EQ(box.pop(0, 1, 5, {}).payload.size(), 3u);
+  EXPECT_EQ(box.pop(1, 5, {}).payload.size(), 1u);
+  EXPECT_EQ(box.pop(1, 5, {}).payload.size(), 3u);
   // The source=2 message is untouched and still probe-able.
-  const auto st = box.probe(0, comm::kAnySource, comm::kAnyTag);
+  const auto st = box.probe(comm::kAnySource, comm::kAnyTag);
   ASSERT_TRUE(st.has_value());
   EXPECT_EQ(st->source, 2);
   EXPECT_EQ(st->bytes, 2u);
@@ -138,10 +137,9 @@ TEST(MailboxBlocking, DeadlineBecomesCommTimeoutWithEnvelope) {
   comm::Mailbox::WaitParams wait;
   wait.deadline = 30ms;
   try {
-    box.pop(/*context=*/2, /*source=*/4, /*tag=*/9, wait);
+    box.pop(/*source=*/4, /*tag=*/9, wait);
     FAIL() << "pop must time out";
   } catch (const comm::CommTimeout& e) {
-    EXPECT_EQ(e.context(), 2);
     EXPECT_EQ(e.source(), 4);
     EXPECT_EQ(e.tag(), 9);
   }
@@ -155,7 +153,7 @@ TEST(MailboxBlocking, AbortWakesBlockedWaiter) {
   std::atomic<bool> threw{false};
   std::thread receiver([&] {
     try {
-      box.pop(0, comm::kAnySource, comm::kAnyTag, wait);
+      box.pop(comm::kAnySource, comm::kAnyTag, wait);
     } catch (const comm::WorldAborted&) {
       threw.store(true);
     }
@@ -173,7 +171,7 @@ TEST(MailboxBlocking, ProbeWaitSeesLateMessage) {
     std::this_thread::sleep_for(15ms);
     box.push(make_msg(/*source=*/6, /*tag=*/11, /*bytes=*/24));
   });
-  const comm::Status st = box.probe_wait(0, 6, 11, {});
+  const comm::Status st = box.probe_wait(6, 11, {});
   EXPECT_EQ(st.source, 6);
   EXPECT_EQ(st.tag, 11);
   EXPECT_EQ(st.bytes, 24u);

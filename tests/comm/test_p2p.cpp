@@ -128,17 +128,6 @@ TEST(P2P, IprobeReturnsNulloptWhenEmpty) {
   });
 }
 
-TEST(P2P, SendrecvExchanges) {
-  World world(2);
-  world.run([](Comm& comm) {
-    const int other = 1 - comm.rank();
-    std::vector<int> mine{comm.rank()};
-    auto theirs = comm.sendrecv(std::span<const int>(mine), other, other, 11);
-    ASSERT_EQ(theirs.size(), 1u);
-    EXPECT_EQ(theirs[0], other);
-  });
-}
-
 TEST(P2P, EmptyMessageDelivered) {
   World world(2);
   world.run([](Comm& comm) {

@@ -98,25 +98,6 @@ TEST(CommStress, InterleavedCollectivesAndP2P) {
   });
 }
 
-TEST(CommStress, SplitStorm) {
-  // Repeated splits with changing colors; each sub-communicator runs a
-  // collective. Exercises context allocation under load.
-  const int p = 6;
-  World world(p);
-  world.run([p](Comm& comm) {
-    for (int round = 1; round <= 10; ++round) {
-      const int color = comm.rank() % round;
-      Comm sub = comm.split(color, comm.rank());
-      const int members = sub.allreduce_value<int>(1, [](int a, int b) { return a + b; });
-      EXPECT_EQ(members, sub.size());
-      // Group sizes partition the world.
-      const int total = comm.allreduce_value<int>(
-          sub.rank() == 0 ? sub.size() : 0, [](int a, int b) { return a + b; });
-      EXPECT_EQ(total, p);
-    }
-  });
-}
-
 TEST(CommStress, LargePayloadRoundTrip) {
   World world(2);
   world.run([](Comm& comm) {

@@ -1,6 +1,6 @@
 // Fixture: every way the reach rule counts a definition as reached, and
-// the definitions it never reports. Its main() makes the rule active over
-// the whole pass/ tree.
+// the definitions it never reports. Its main() makes the rule active;
+// lint.pass scopes it to this directory with --include-root.
 #include "registry.hpp"
 
 #define NOTE(x) fixture::note(x)

@@ -225,29 +225,6 @@ struct Runtime::Pool {
   EXPECT_EQ(loop->calls[0].name, "step");
 }
 
-TEST(Index, InlineDefinitionsAreMarked) {
-  const lint::Index idx = index_of({{"k.cpp", R"(
-namespace ns {
-inline int a() { return 1; }
-constexpr int b() { return 2; }
-template <typename T> T c(T x) { return x; }
-struct S { int d() { return 4; } int e(); };
-int S::e() { return 5; }
-static int f() { return 6; }
-}  // namespace ns
-)"}});
-  for (const char* q : {"ns::a", "ns::b", "ns::c", "ns::S::d"}) {
-    const lint::FunctionDef* fn = find_fn(idx, q);
-    ASSERT_NE(fn, nullptr) << q;
-    EXPECT_TRUE(fn->is_inline) << q;
-  }
-  for (const char* q : {"ns::S::e", "ns::f"}) {
-    const lint::FunctionDef* fn = find_fn(idx, q);
-    ASSERT_NE(fn, nullptr) << q;
-    EXPECT_FALSE(fn->is_inline) << q;
-  }
-}
-
 TEST(Index, ConstructorWithInitializerList) {
   const lint::Index idx = index_of({{"l.cpp", R"(
 namespace ns {

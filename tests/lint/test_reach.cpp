@@ -1,8 +1,8 @@
 // Unit suite for the picprk-lint `reach` rule over synthetic in-memory
-// trees: which definitions count as reached from a main(), which are
-// exempt (inline, templates, destructors, files outside the include
-// roots), and that the rule and its suppression audit stay silent when
-// the input holds no main().
+// trees: which definitions count as reached from a main() (header code
+// included), which are exempt (destructors, operators, files outside the
+// include roots), and that the rule and its suppression audit stay
+// silent when the input holds no main().
 #include <gtest/gtest.h>
 
 #include <string>
@@ -49,29 +49,99 @@ int Widget::poll() { return 4; }
 bool operator==(const Widget&, const Widget&) { return true; }
 int orphan() { return chained(); }
 int chained() { return 5; }
-inline int unused_inline() { return 6; }
-template <typename T> T unused_template(T x) { return x; }
 }  // namespace lib
 )";
 
-TEST(Reach, ReportsOnlyUnreachedNonInlineDefinitions) {
+const char* const kLibHeader = R"(
+#pragma once
+namespace lib {
+inline int twice(int x) { return 2 * x; }
+inline int unused_inline() { return 6; }
+template <typename T> T unused_template(T x) { return x; }
+struct Widget {
+  Widget();
+  ~Widget();
+  int poll();
+  int unused_member() const { return 7; }
+};
+}  // namespace lib
+)";
+
+TEST(Reach, ReportsUnreachedDefinitionsInSourcesAndHeaders) {
   const auto vs = reach({
       {"src/lib.cpp", kLib},
+      {"src/lib.hpp", kLibHeader},
       {"tools/main.cpp", R"(
 #include "lib.hpp"
 int main() {
   lib::Widget w;
   lib::subscribe(&lib::on_event);
   lib::logged();
-  return lib::called() + w.poll();
+  return lib::called() + w.poll() + lib::twice(1);
 }
 int tool_helper_nobody_calls() { return 0; }
 )"}});
-  ASSERT_EQ(vs.size(), 2u) << ::testing::PrintToString(messages(vs));
+  ASSERT_EQ(vs.size(), 5u) << ::testing::PrintToString(messages(vs));
   EXPECT_NE(vs[0].message.find("lib::orphan"), std::string::npos);
   EXPECT_NE(vs[1].message.find("lib::chained"), std::string::npos);
   EXPECT_EQ(vs[0].rule, "reach");
   EXPECT_EQ(vs[0].file, "src/lib.cpp");
+  // Inline functions, templates and in-class member definitions of a
+  // header are in scope too.
+  EXPECT_NE(vs[2].message.find("lib::unused_inline"), std::string::npos);
+  EXPECT_NE(vs[3].message.find("lib::unused_template"), std::string::npos);
+  EXPECT_NE(vs[4].message.find("lib::Widget::unused_member"), std::string::npos);
+  EXPECT_EQ(vs[2].file, "src/lib.hpp");
+}
+
+TEST(Reach, NamespaceScopeStaticAssertReachesWhatItNames) {
+  const auto vs = reach({
+      {"src/layout.hpp", R"(
+namespace lib {
+constexpr int field_bytes() { return 8; }
+constexpr int unused_bytes() { return 8; }
+static_assert(field_bytes() == 8, "layout");
+}  // namespace lib
+)"},
+      {"src/main.cpp", "int main() { return 0; }\n"}});
+  ASSERT_EQ(vs.size(), 1u) << ::testing::PrintToString(messages(vs));
+  EXPECT_NE(vs[0].message.find("lib::unused_bytes"), std::string::npos);
+}
+
+TEST(Reach, MemberDeclarationReachesNestedTypeConstructors) {
+  // Pool::take is reached, so Pool's data member of type Slot is built
+  // by Pool's implicit constructor: Slot's constructors are reached.
+  // Idle::Part is named only by Idle, none of whose members is reached.
+  const auto vs = reach({
+      {"src/pool.hpp", R"(
+namespace lib {
+class Pool {
+ public:
+  int take() { return slot_.n; }
+ private:
+  template <typename T> struct Slot {
+    T n{};
+    Slot() = default;
+    Slot(const Slot& other) : n(other.n) {}
+  };
+  Slot<int> slot_;
+};
+class Idle {
+ public:
+  int peek() const { return part_.n; }
+ private:
+  struct Part {
+    int n = 0;
+    Part(const Part& other) : n(other.n) {}
+  };
+  Part part_;
+};
+}  // namespace lib
+)"},
+      {"src/main.cpp", "int main() { lib::Pool p; return p.take(); }\n"}});
+  ASSERT_EQ(vs.size(), 2u) << ::testing::PrintToString(messages(vs));
+  EXPECT_NE(vs[0].message.find("lib::Idle::peek"), std::string::npos);
+  EXPECT_NE(vs[1].message.find("lib::Idle::Part::Part"), std::string::npos);
 }
 
 TEST(Reach, ReasonedSuppressionSilencesAFinding) {

@@ -367,6 +367,23 @@ TEST(Ampi, BoundsOnlyStrategyIsRejected) {
   EXPECT_THROW((void)run_ampi(cfg), std::invalid_argument);
 }
 
+TEST(Ampi, VerifiesWithAVpGridWiderThanTheMesh) {
+  // 2 workers × d=8 is a 4×4 VP grid over a 2×2 mesh, so most VPs own
+  // no cell; the VP host that `picprk serve` runs accepts that shape, and
+  // ampi steps, balances and verifies it the same way.
+  auto cfg = make_config(2, 100, 4);
+  cfg.workers = 2;
+  cfg.overdecomposition = 8;
+  EXPECT_TRUE(run_ampi(cfg).ok);
+
+  cfg = make_config(2, 2000, 20);
+  cfg.workers = 2;
+  cfg.overdecomposition = 8;
+  cfg.lb.every = 4;
+  cfg.lb.strategy = "greedy";
+  EXPECT_TRUE(run_ampi(cfg).ok);
+}
+
 TEST(Ampi, MeasuredLoadModeVerifies) {
   auto cfg = make_config(20, 900, 20);
   cfg.init.distribution = Geometric{0.8};

@@ -12,6 +12,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "ft/checkpoint.hpp"
 #include "ft/fault.hpp"
@@ -280,6 +281,49 @@ TEST(ServerTest, TwoServersReplayPlacementPlansBitForBit) {
   const std::vector<std::string> second = run_one();
   ASSERT_FALSE(first.empty());
   EXPECT_EQ(first, second);
+}
+
+TEST(ServerTest, StaticScheduleMatchesStealingButNeverSteals) {
+  // ServerConfig::allow_steal = false (`picprk serve --no-steal`) is the
+  // static schedule stealing is measured against: the plan's placement
+  // runs verbatim. It must report the same tenants identically — every
+  // RESULT field but the wall time — and steal nothing.
+  const auto run_batch = [](bool allow_steal, std::uint64_t& steals) {
+    ServerConfig config;
+    config.workers = 3;
+    config.quantum = 4;
+    config.measured_cost = false;
+    config.allow_steal = allow_steal;
+    Server server(config);
+    server.submit(parse_job_spec("a:dist=uniform,particles=1500,steps=12,weight=1"));
+    server.submit(
+        parse_job_spec("b:dist=geometric,particles=2500,steps=20,weight=2"));
+    server.submit(parse_job_spec("c:dist=sinusoidal,particles=1000,steps=8,d=4"));
+    std::ostringstream out;
+    server.drain(out);
+    steals = server.registry().find_counter("ws/steals")->value();
+    std::vector<std::string> results;
+    std::istringstream lines(out.str());
+    for (std::string line; std::getline(lines, line);) {
+      if (line.rfind("RESULT ", 0) != 0) continue;
+      const std::size_t at = line.find(" seconds=");
+      EXPECT_NE(at, std::string::npos) << line;
+      const std::size_t end = line.find(' ', at + 1);
+      line.erase(at, end == std::string::npos ? std::string::npos : end - at);
+      results.push_back(line);
+    }
+    return results;
+  };
+  std::uint64_t static_steals = 0;
+  std::uint64_t stealing_steals = 0;
+  const std::vector<std::string> fixed = run_batch(false, static_steals);
+  const std::vector<std::string> stolen = run_batch(true, stealing_steals);
+  ASSERT_EQ(fixed.size(), 3u);
+  for (const std::string& line : fixed) {
+    EXPECT_NE(line.find("status=pass"), std::string::npos) << line;
+  }
+  EXPECT_EQ(fixed, stolen);
+  EXPECT_EQ(static_steals, 0u);
 }
 
 TEST(ServerTest, RunCommandsDrivesTheFullProtocol) {

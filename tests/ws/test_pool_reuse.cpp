@@ -1,6 +1,6 @@
 // Multi-client reuse contract of the work-stealing pool
 // (docs/SERVICE.md): the pool is a long-lived shared resource, so every
-// run() must leave it exactly as a fresh construction would — deques
+// run_placed() must leave it exactly as a fresh construction would — deques
 // drained (even when a task threw), per-run stats from zero, placement
 // honoured on the next batch. These tests pin the submit → drain →
 // submit cycles the job server depends on.
@@ -18,14 +18,25 @@ namespace {
 using picprk::ws::PoolStats;
 using picprk::ws::WorkStealingPool;
 
+/// Blockwise deal: contiguous task ranges per worker (task t starts on
+/// worker t·W/count).
+std::vector<int> blockwise(std::size_t count, int workers) {
+  std::vector<int> owners(count);
+  for (std::size_t t = 0; t < count; ++t) {
+    owners[t] = static_cast<int>(t * static_cast<std::size_t>(workers) / count);
+  }
+  return owners;
+}
+
 TEST(PoolReuseTest, BackToBackRunsEachCompleteAndStatsStartFromZero) {
   WorkStealingPool pool(3);
   for (int round = 0; round < 5; ++round) {
     std::atomic<std::uint64_t> sum{0};
     const std::size_t count = 90 + static_cast<std::size_t>(round) * 30;
-    const PoolStats stats = pool.run(count, [&](std::size_t t, int) {
-      sum.fetch_add(t, std::memory_order_relaxed);
-    });
+    const PoolStats stats =
+        pool.run_placed(count, blockwise(count, 3), [&](std::size_t t, int) {
+          sum.fetch_add(t, std::memory_order_relaxed);
+        });
     EXPECT_EQ(sum.load(), count * (count - 1) / 2);
     EXPECT_EQ(stats.tasks, count);  // not cumulative across rounds
     std::uint64_t executed = 0;
@@ -36,16 +47,16 @@ TEST(PoolReuseTest, BackToBackRunsEachCompleteAndStatsStartFromZero) {
 
 TEST(PoolReuseTest, RunAfterTaskExceptionExecutesEverything) {
   WorkStealingPool pool(2);
-  EXPECT_THROW(pool.run(50,
-                        [](std::size_t t, int) {
-                          if (t == 7) throw std::runtime_error("tenant crash");
-                        }),
+  EXPECT_THROW(pool.run_placed(50, blockwise(50, 2),
+                               [](std::size_t t, int) {
+                                 if (t == 7) throw std::runtime_error("tenant crash");
+                               }),
                std::runtime_error);
   // The failed batch must not leak queued tasks into the next client's
   // run: the second batch executes its own tasks exactly once each.
   std::vector<std::atomic<int>> executed(64);
-  const PoolStats stats =
-      pool.run(64, [&](std::size_t t, int) { executed[t].fetch_add(1); });
+  const PoolStats stats = pool.run_placed(
+      64, blockwise(64, 2), [&](std::size_t t, int) { executed[t].fetch_add(1); });
   EXPECT_EQ(stats.tasks, 64u);
   for (const auto& e : executed) EXPECT_EQ(e.load(), 1);
 }
@@ -53,13 +64,13 @@ TEST(PoolReuseTest, RunAfterTaskExceptionExecutesEverything) {
 TEST(PoolReuseTest, RepeatedExceptionRoundsStayReusable) {
   WorkStealingPool pool(2);
   for (int round = 0; round < 3; ++round) {
-    EXPECT_THROW(pool.run(30,
-                          [](std::size_t t, int) {
-                            if (t % 10 == 3) throw std::runtime_error("boom");
-                          }),
+    EXPECT_THROW(pool.run_placed(30, blockwise(30, 2),
+                                 [](std::size_t t, int) {
+                                   if (t % 10 == 3) throw std::runtime_error("boom");
+                                 }),
                  std::runtime_error);
     std::atomic<int> count{0};
-    pool.run(30, [&](std::size_t, int) { count.fetch_add(1); });
+    pool.run_placed(30, blockwise(30, 2), [&](std::size_t, int) { count.fetch_add(1); });
     EXPECT_EQ(count.load(), 30);
   }
 }
@@ -102,8 +113,8 @@ TEST(PoolReuseTest, PlacedRunWithStealingStillRunsEveryTaskOnce) {
 }
 
 TEST(PoolReuseTest, PlacedThenBlockwiseThenPlacedCycles) {
-  // A server interleaving placement-driven cycles with plain runs (two
-  // different clients of one pool) must see clean state each time.
+  // A server interleaving placement-driven cycles with blockwise runs
+  // (two different clients of one pool) must see clean state each time.
   WorkStealingPool pool(2);
   std::vector<int> owners = {1, 1, 0, 0, 1, 0};
   std::atomic<int> count{0};
@@ -111,7 +122,7 @@ TEST(PoolReuseTest, PlacedThenBlockwiseThenPlacedCycles) {
                   /*allow_steal=*/false);
   EXPECT_EQ(count.load(), 6);
   count.store(0);
-  pool.run(100, [&](std::size_t, int) { count.fetch_add(1); });
+  pool.run_placed(100, blockwise(100, 2), [&](std::size_t, int) { count.fetch_add(1); });
   EXPECT_EQ(count.load(), 100);
   count.store(0);
   const PoolStats stats = pool.run_placed(

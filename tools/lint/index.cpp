@@ -66,9 +66,6 @@ struct Scanner {
   Index& out;
   int file_index;
   const std::vector<Token>& t;
-  /// Token just past the last `template <...>` head skipped at scope
-  /// level: a statement starting there is a template declaration.
-  std::size_t after_template = std::string::npos;
 
   Scanner(Index& index, int fi)
       : out(index), file_index(fi),
@@ -101,7 +98,6 @@ struct Scanner {
           const std::size_t close = match_angle(t, i);
           if (close != std::string::npos) i = close + 1;
         }
-        after_template = i;
         continue;
       }
       if (is_word(tok, "using") || is_word(tok, "typedef") ||
@@ -479,15 +475,9 @@ struct Scanner {
     fn.body_begin = body_open;
     fn.body_end = body_close;
     fn.line = t[name_tok].line;
-    fn.is_inline = !cls.empty() || stmt_begin == after_template;
-    // Attributes and specifiers before the name (PICPRK_HOT precedes the
-    // return type).
+    // Attributes before the name (PICPRK_HOT precedes the return type).
     for (std::size_t k = stmt_begin; k < name_tok; ++k) {
       if (is_ident(t[k]) && is_attr_macro(t[k].text)) attrs.push_back(t[k].text);
-      if (is_word(t[k], "inline") || is_word(t[k], "constexpr") ||
-          is_word(t[k], "consteval")) {
-        fn.is_inline = true;
-      }
     }
     fn.attrs = attrs;
     fn.held_on_entry = held;

@@ -66,10 +66,6 @@ struct FunctionDef {
   std::size_t body_end = 0;    ///< token index of the matching '}'
   int line = 0;
   bool is_hot = false;                       ///< carries PICPRK_HOT
-  /// Defined inside a class body, declared inline/constexpr/consteval,
-  /// or a template: a definition a header may carry and that emits no
-  /// code unless something uses it.
-  bool is_inline = false;
   std::vector<std::string> attrs;            ///< all PICPRK_* attribute names seen
   std::vector<std::string> held_on_entry;    ///< PICPRK_REQUIRES/ACQUIRE arguments
   std::vector<CallSite> calls;

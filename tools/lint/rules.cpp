@@ -100,8 +100,8 @@ const char* const kImpureWords[] = {
 
 /// Member-call name prefixes that mean "talks to the runtime".
 const char* const kCommCallPrefixes[] = {
-    "send", "recv", "probe", "iprobe", "sendrecv",
-    "allreduce", "alltoallv", "bcast", "barrier", "gather",
+    "send",      "recv",      "probe", "iprobe",
+    "allreduce", "alltoallv", "bcast", "barrier",
 };
 
 bool comm_call_name(const std::string& name) {
@@ -218,7 +218,7 @@ void check_determinism(const Index& idx, const CallGraph& graph,
 
 const char* const kCollectives[] = {
     "barrier", "allreduce", "allreduce_value", "alltoallv",
-    "bcast",   "reduce",    "gather",
+    "bcast",   "reduce",
 };
 
 bool collective_name(const std::string& s) {
@@ -676,11 +676,10 @@ void check_tags(const Index& idx, std::vector<Violation>& out) {
     bool templated;
   };
   const Method methods[] = {
-      {"send", 2, 3, false},      {"send_value", 2, 3, false},
-      {"send_buffer", 2, 3, false}, {"sendrecv", 3, 4, false},
-      {"recv_into", 2, 3, false}, {"probe", 1, 2, false},
-      {"iprobe", 1, 2, false},    {"recv", 1, 2, true},
-      {"recv_value", 1, 2, true},
+      {"send", 2, 3, false},        {"send_value", 2, 3, false},
+      {"send_buffer", 2, 3, false}, {"recv_into", 2, 3, false},
+      {"probe", 1, 2, false},       {"iprobe", 1, 2, false},
+      {"recv", 1, 2, true},         {"recv_value", 1, 2, true},
   };
   for (const SourceFile& f : idx.files) {
     if (in_dir(f, "comm")) continue;  // the runtime's own internals
@@ -920,15 +919,40 @@ std::unordered_map<std::string, std::vector<std::string>> macro_bodies(
   return out;
 }
 
-/// reach: every non-inline function defined under an include root must be
-/// reachable from a `main` among the linted files. Edges are the call
-/// graph widened to every mention of an indexed name in a reached
-/// definition (signature and constructor initializers included), so
-/// address-taken functions, constructors named by their type and
-/// same-named overrides count as reached. A mentioned macro stands for
-/// the names in its replacement text. Destructors and operators are
-/// called implicitly and are never reported. Returns false — the rule is
-/// inactive — when the input holds no `main`, since reach is undefined.
+/// Token mask per file: true inside an indexed function definition (its
+/// head through its closing brace). What lies outside is declaration
+/// text — class bodies, namespace-scope statements.
+std::vector<std::vector<bool>> function_token_mask(const Index& idx) {
+  std::vector<std::vector<bool>> mask(idx.files.size());
+  for (std::size_t fi = 0; fi < idx.files.size(); ++fi) {
+    mask[fi].assign(idx.files[fi].lx.tokens.size(), false);
+  }
+  for (const FunctionDef& fn : idx.functions) {
+    auto& m = mask[static_cast<std::size_t>(fn.file_index)];
+    for (std::size_t k = fn.head_begin; k <= fn.body_end && k < m.size(); ++k) {
+      m[k] = true;
+    }
+  }
+  return mask;
+}
+
+/// reach: every function defined under an include root — inline
+/// functions and templates in headers included — must be reachable from
+/// a `main` among the linted files. Edges are the call graph widened to
+/// every mention of an indexed name in a reached definition (signature
+/// and constructor initializers included), so address-taken functions,
+/// constructors named by their type and same-named overrides count as
+/// reached. A mentioned macro stands for the names in its replacement
+/// text. Two uses outside any function body count as well:
+///  * a `static_assert` at namespace or class scope reaches what its
+///    condition names (it is evaluated whenever its file is compiled);
+///  * once a member of class C is reached, a type named in C's
+///    declaration text (a data member's type, a nested type's
+///    declaration) has its constructors reached — C's constructor runs
+///    them implicitly.
+/// Destructors and operators are called implicitly and are never
+/// reported. Returns false — the rule is inactive — when the input holds
+/// no `main`, since reach is undefined.
 bool check_reach(const Index& idx, const RuleOptions& opts,
                  std::vector<Violation>& out) {
   const std::size_t n = idx.functions.size();
@@ -965,14 +989,53 @@ bool check_reach(const Index& idx, const RuleOptions& opts,
       if (is_ident(t[k]) && !is_keyword(t[k].text)) reach_name(t[k].text);
     }
   };
+  const auto in_function = function_token_mask(idx);
+  for (std::size_t fi = 0; fi < idx.files.size(); ++fi) {
+    const auto& t = idx.files[fi].lx.tokens;
+    for (std::size_t k = 0; k + 1 < t.size(); ++k) {
+      if (in_function[fi][k] || !is_word(t[k], "static_assert") ||
+          !is_punct(t[k + 1], "(")) {
+        continue;
+      }
+      const std::size_t close = match_bracket(t, k + 1);
+      if (close != std::string::npos) mention(t, k + 2, close);
+    }
+  }
+
+  std::unordered_map<std::string, std::vector<std::size_t>> classes_by_name;
+  for (std::size_t c = 0; c < idx.classes.size(); ++c) {
+    classes_by_name[idx.classes[c].name].push_back(c);
+  }
+  std::set<std::string> classes_expanded;
+  auto reach_constructors_in = [&](const std::string& cls) {
+    const auto cit = classes_by_name.find(cls);
+    if (cit == classes_by_name.end() || !classes_expanded.insert(cls).second) return;
+    for (const std::size_t c : cit->second) {
+      const ClassDef& cd = idx.classes[c];
+      const auto fi = static_cast<std::size_t>(cd.file_index);
+      const auto& t = idx.files[fi].lx.tokens;
+      for (std::size_t k = cd.body_begin; k <= cd.body_end && k < t.size(); ++k) {
+        if (in_function[fi][k] || !is_ident(t[k]) || t[k].text == cls) continue;
+        const auto fit = idx.functions_by_name.find(t[k].text);
+        if (fit == idx.functions_by_name.end()) continue;
+        for (const std::size_t ctor : fit->second) {
+          if (reached[ctor] || idx.functions[ctor].class_name != t[k].text) continue;
+          reached[ctor] = true;
+          queue.push_back(ctor);
+        }
+      }
+    }
+  };
+
   for (std::size_t qi = 0; qi < queue.size(); ++qi) {
     const FunctionDef& fn = idx.functions[queue[qi]];
     mention(idx.file_of(fn).lx.tokens, fn.head_begin, fn.body_end);
+    if (!fn.class_name.empty()) reach_constructors_in(fn.class_name);
   }
 
   for (std::size_t i = 0; i < n; ++i) {
     const FunctionDef& fn = idx.functions[i];
-    if (reached[i] || fn.is_inline) continue;
+    if (reached[i]) continue;
     if (fn.name[0] == '~' || fn.name.rfind("operator", 0) == 0) continue;
     const SourceFile& f = idx.file_of(fn);
     const bool in_scope = std::any_of(
