@@ -32,7 +32,7 @@
 #include "comm/world.hpp"
 #include "obs/registry.hpp"
 #include "obs/sinks.hpp"
-#include "par/async.hpp"
+#include "par/engine.hpp"
 #include "par/block.hpp"
 #include "par/run_config.hpp"
 #include "util/cli.hpp"
@@ -82,6 +82,7 @@ int main(int argc, char** argv) {
   par::RunConfig sync_cfg = cfg;
   sync_cfg.lb.strategy.clear();
   sync_cfg.lb.every = 0;
+  cfg.impl = "async";
   const auto sync_once = [&] {
     double seconds = 0.0;
     bool ok = false;
@@ -101,7 +102,7 @@ int main(int argc, char** argv) {
   };
 
   const auto async_once = [&] {
-    const par::DriverResult r = par::run_async(cfg);
+    const par::DriverResult r = par::make_engine(cfg)->run().result;
     if (!r.ok) {
       std::cerr << "bench_overlap: async verification failed\n";
       std::exit(1);
@@ -132,7 +133,7 @@ int main(int argc, char** argv) {
   par::RunConfig observed = cfg;
   observed.obs.registry = &registry;
   observed.obs.trace = &trace;
-  const par::DriverResult or_ = par::run_async(observed);
+  const par::DriverResult or_ = par::make_engine(observed)->run().result;
   std::uint64_t overlap = 0, drained = 0, tokens = 0;
   for (const auto& c : registry.counters()) {
     if (c.name == "async/overlap_deliveries") overlap = c.value;

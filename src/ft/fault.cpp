@@ -2,11 +2,13 @@
 
 #include <algorithm>
 #include <chrono>
+#include <limits>
 #include <thread>
 #include <tuple>
 
 #include "comm/mailbox.hpp"
 #include "util/assert.hpp"
+#include "util/cli.hpp"
 #include "util/rng.hpp"
 
 namespace picprk::ft {
@@ -31,33 +33,25 @@ FaultKind parse_kind(const std::string& name) {
 }
 
 int parse_int(const std::string& key, const std::string& value) {
-  std::size_t consumed = 0;
-  int parsed = 0;
   try {
-    parsed = std::stoi(value, &consumed);
-  } catch (const std::exception&) {
-    consumed = std::string::npos;
+    const std::int64_t parsed = util::parse_int(value);
+    if (parsed >= std::numeric_limits<int>::min() &&
+        parsed <= std::numeric_limits<int>::max()) {
+      return static_cast<int>(parsed);
+    }
+  } catch (const std::invalid_argument&) {
   }
-  if (consumed != value.size()) {
-    throw std::invalid_argument("fault plan: " + key + "= expects an integer, got '" +
-                                value + "'");
-  }
-  return parsed;
+  throw std::invalid_argument("fault plan: " + key + "= expects an integer, got '" +
+                              value + "'");
 }
 
 double parse_prob(const std::string& value) {
-  std::size_t consumed = 0;
-  double parsed = 0.0;
   try {
-    parsed = std::stod(value, &consumed);
-  } catch (const std::exception&) {
-    consumed = std::string::npos;
-  }
-  if (consumed != value.size()) {
+    return util::parse_double(value);
+  } catch (const std::invalid_argument&) {
     throw std::invalid_argument("fault plan: prob= expects a number, got '" + value +
                                 "'");
   }
-  return parsed;
 }
 
 /// Which keys an entry spelled out explicitly — validation distinguishes

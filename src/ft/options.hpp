@@ -3,8 +3,6 @@
 // drivers with all fields defaulted pay a single branch per step.
 #pragma once
 
-#include <cstdint>
-
 namespace picprk::ft {
 
 class FaultInjector;
@@ -16,7 +14,8 @@ struct FtOptions {
   /// world's message-level hook by the recovery wrapper. Not owned.
   FaultInjector* injector = nullptr;
   /// Snapshot destination; must outlive the world so recovery can read
-  /// it after an abort. Not owned.
+  /// it after an abort. Set only when the run checkpoints, at the cadence
+  /// par::ResilienceOptions::checkpoint_cadence() gives. Not owned.
   CheckpointStore* store = nullptr;
   /// Localized-recovery coordinator (coordinator.hpp). When set, a
   /// driver catching RankKilled declares the victim dead and every rank
@@ -24,13 +23,11 @@ struct FtOptions {
   /// the rollback-only behaviour. Installed by par::run_resilient under
   /// RecoveryMode::kLocal. Not owned.
   RecoveryCoordinator* coordinator = nullptr;
-  /// Checkpoint at the start of every N-th step (0 = never).
-  std::uint32_t checkpoint_every = 0;
   /// This run is a recovery attempt: restore from the store's last
   /// consistent checkpoint before stepping.
   bool resume = false;
 
-  bool checkpointing() const { return store != nullptr && checkpoint_every > 0; }
+  bool checkpointing() const { return store != nullptr; }
   bool localized() const { return coordinator != nullptr && checkpointing(); }
   bool active() const { return injector != nullptr || checkpointing(); }
 };

@@ -7,6 +7,7 @@
 #include "lb/bounds.hpp"
 #include "lb/placement.hpp"
 #include "lb/steal.hpp"
+#include "util/cli.hpp"
 
 namespace picprk::lb {
 
@@ -19,11 +20,8 @@ double opt_double(const Options& opts, const std::string& key, double def) {
   const auto it = opts.find(key);
   if (it == opts.end()) return def;
   try {
-    std::size_t pos = 0;
-    const double v = std::stod(it->second, &pos);
-    if (pos != it->second.size()) throw std::invalid_argument(it->second);
-    return v;
-  } catch (const std::exception&) {
+    return util::parse_double(it->second);
+  } catch (const std::invalid_argument&) {
     throw std::invalid_argument("lb: option " + key + " expects a number, got '" +
                                 it->second + "'");
   }
@@ -33,11 +31,8 @@ std::int64_t opt_int(const Options& opts, const std::string& key, std::int64_t d
   const auto it = opts.find(key);
   if (it == opts.end()) return def;
   try {
-    std::size_t pos = 0;
-    const std::int64_t v = std::stoll(it->second, &pos);
-    if (pos != it->second.size()) throw std::invalid_argument(it->second);
-    return v;
-  } catch (const std::exception&) {
+    return util::parse_int(it->second);
+  } catch (const std::invalid_argument&) {
     throw std::invalid_argument("lb: option " + key + " expects an integer, got '" +
                                 it->second + "'");
   }

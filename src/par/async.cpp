@@ -13,8 +13,6 @@
 #include <vector>
 
 #include "comm/mailbox.hpp"
-#include "comm/world.hpp"
-#include "ft/fault.hpp"
 #include "lb/registry.hpp"
 #include "obs/phase.hpp"
 #include "par/pic_vp.hpp"
@@ -478,7 +476,6 @@ DriverResult AsyncEngine::run() {
   }
   const double seconds = wall.elapsed();
 
-  // Finalize against the identical invariant as par::VpHost.
   VpVerifyTally tally;
   std::uint64_t local_particles = 0;
   for (int v = 0; v < vp_count_; ++v) {
@@ -486,50 +483,19 @@ DriverResult AsyncEngine::run() {
     accumulate_vp_verification(*vps_[static_cast<std::size_t>(v)], config_, tally);
     local_particles += vps_[static_cast<std::size_t>(v)]->particles().size();
   }
-  result.verification = merge_verification(comm_, tally.verify);
-  const std::uint64_t removed_total =
-      comm_.allreduce_value(tally.removed_id_sum, std::plus<>{});
-  result.expected_id_checksum =
-      vpr_expected_checksum(shared_->init, config_.events, removed_total);
-  result.ok = result.verification.ok(result.expected_id_checksum);
-
-  struct Scalars {
-    std::uint64_t total_particles, max_particles, sent, bytes, lb_actions, lb_bytes;
-    double seconds, compute, wait, lb;
-  };
-  const Scalars mine{local_particles,
-                     local_particles,
-                     tally.sent_particles,
-                     exchange_bytes_,
-                     lb_actions_,
-                     lb_bytes_,
-                     seconds,
-                     compute_seconds,
-                     wait_seconds,
-                     lb_seconds};
-  const Scalars merged = comm_.allreduce_value<Scalars>(mine, [](Scalars a, Scalars b) {
-    return Scalars{a.total_particles + b.total_particles,
-                   std::max(a.max_particles, b.max_particles),
-                   a.sent + b.sent,
-                   a.bytes + b.bytes,
-                   a.lb_actions + b.lb_actions,
-                   a.lb_bytes + b.lb_bytes,
-                   std::max(a.seconds, b.seconds),
-                   std::max(a.compute, b.compute),
-                   std::max(a.wait, b.wait),
-                   std::max(a.lb, b.lb)};
-  });
-  result.final_particles = merged.total_particles;
-  result.max_particles_per_rank = merged.max_particles;
-  result.ideal_particles_per_rank =
-      static_cast<double>(merged.total_particles) /
-      static_cast<double>(comm_.size());
-  result.seconds = merged.seconds;
-  result.phases = PhaseBreakdown{merged.compute, merged.wait, merged.lb, 0.0};
-  result.particles_exchanged = merged.sent;
-  result.exchange_bytes = merged.bytes;
-  result.lb_actions = merged.lb_actions;
-  result.lb_bytes = merged.lb_bytes;
+  // The wait phase fills the exchange slot of the breakdown.
+  finalize_result(comm_, shared_->init, shared_->events,
+                  RankTotals{.verify = tally.verify,
+                             .removed_id_sum = tally.removed_id_sum,
+                             .particles = local_particles,
+                             .seconds = seconds,
+                             .phases = PhaseBreakdown{compute_seconds, wait_seconds,
+                                                      lb_seconds, 0.0},
+                             .sent = tally.sent_particles,
+                             .bytes = exchange_bytes_,
+                             .lb_actions = lb_actions_,
+                             .lb_bytes = lb_bytes_},
+                  result);
   return result;
 }
 
@@ -538,41 +504,6 @@ DriverResult AsyncEngine::run() {
 DriverResult run_async(comm::Comm& comm, const RunConfig& config) {
   AsyncEngine engine(comm, config);
   return engine.run();
-}
-
-DriverResult run_async(const RunConfig& config) {
-  config.resilience.validate();
-  for (const ft::FaultSpec& spec : config.resilience.plan.specs) {
-    if (spec.kind == ft::FaultKind::Kill || spec.kind == ft::FaultKind::Stall) {
-      throw std::invalid_argument(
-          "async: kill/stall faults need the sync drivers' recovery ladder "
-          "(checkpoints + rollback); the async engine injects message faults "
-          "only");
-    }
-  }
-  if (config.resilience.checkpoint_every > 0) {
-    throw std::invalid_argument(
-        "async: checkpoint/rollback is not supported; use the baseline, "
-        "diffusion or ampi driver for recovery drills");
-  }
-  std::optional<ft::FaultInjector> injector;
-  comm::WorldOptions options;
-  options.timeout_ms = config.resilience.timeout_ms;
-  options.deadlock_ms = config.resilience.deadlock_ms;
-  if (!config.resilience.plan.empty()) {
-    injector.emplace(config.resilience.plan);
-    options.fault_hook = &*injector;
-  }
-  options.reliable.enabled = config.resilience.reliable;
-  options.reliable.rto_ms = config.resilience.rto_ms;
-  options.reliable.max_retransmits = config.resilience.retransmit_budget;
-  comm::World world(config.ranks, options);
-  DriverResult result;
-  world.run([&](comm::Comm& comm) {
-    DriverResult local = run_async(comm, config);
-    if (comm.rank() == 0) result = local;
-  });
-  return result;
 }
 
 }  // namespace picprk::par

@@ -24,16 +24,13 @@
 
 namespace picprk::par {
 
-/// Collective form: every rank of `comm` runs the engine; the returned
+/// Collective: every rank of `comm` runs the engine; the returned
 /// DriverResult is identical on every rank. `config.lb.strategy` must
-/// name a placement-capable strategy (default: "steal").
+/// name a placement-capable strategy (default: "steal"). make_engine
+/// runs it through run_resilient like the block drivers, which wires
+/// the message faults, the reliable transport and the recv/deadlock
+/// deadlines of config.resilience into the World; it rejects kill/stall
+/// faults and checkpointing for async, which has no recovery ladder.
 DriverResult run_async(comm::Comm& comm, const RunConfig& config);
-
-/// Standalone form: builds a threadcomm world with `config.ranks` ranks
-/// from config.resilience (recv timeout, deadlock window, reliable
-/// transport, message-fault injection) and returns the result. Kill /
-/// stall faults and checkpointing belong to the sync drivers' recovery
-/// ladder and are rejected with std::invalid_argument.
-DriverResult run_async(const RunConfig& config);
 
 }  // namespace picprk::par

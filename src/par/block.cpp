@@ -297,6 +297,8 @@ DriverResult run_block(comm::Comm& comm, const RunConfig& config) {
     return restore;
   };
 
+  const std::uint32_t cadence =
+      config.ft.checkpointing() ? config.resilience.checkpoint_cadence() : 0;
   std::uint32_t step = 0;
   std::uint64_t checkpoint_rounds = 0, checkpoint_bytes = 0;
   if (config.ft.resume && config.ft.store != nullptr) {
@@ -310,7 +312,7 @@ DriverResult run_block(comm::Comm& comm, const RunConfig& config) {
     try {
     // Snapshot the start-of-step state, then poll scripted step faults;
     // a kill at a checkpoint step therefore rolls back to that step.
-    if (config.ft.checkpointing() && step % config.ft.checkpoint_every == 0) {
+    if (cadence > 0 && step % cadence == 0) {
       obs::Phase phase(obs::kPhaseCheckpoint, &checkpoint_seconds, inst.lane,
                        inst.checkpoint);
       DriverSnapshot snap;
@@ -331,7 +333,7 @@ DriverResult run_block(comm::Comm& comm, const RunConfig& config) {
       config.ft.injector->begin_step(comm.rank(), step, &comm.abort_flag());
     }
 
-    if (!config.events.empty()) tracker.apply(step, block, particles, &tiles);
+    tracker.apply(step, block, particles, tiles);
 
     {
       obs::Phase phase(obs::kPhaseCompute, &compute_seconds, inst.lane, inst.compute);
@@ -423,12 +425,18 @@ DriverResult run_block(comm::Comm& comm, const RunConfig& config) {
   const pic::VerifyResult local_verify =
       verify_particles(std::span<const pic::Particle>(final_particles), grid,
                        config.steps, config.verify_epsilon);
-  finalize_result(
-      comm, local_verify, tracker, particles.size(), seconds,
-      PhaseBreakdown{compute_seconds, exchange_seconds, lb_seconds,
-                     checkpoint_seconds},
-      exchange_buffers.totals.sent, exchange_buffers.totals.bytes,
-      mesh_stats.transfers, mesh_stats.bytes_sent, result);
+  finalize_result(comm, init, config.events,
+                  RankTotals{.verify = local_verify,
+                             .removed_id_sum = tracker.removed_sum(),
+                             .particles = particles.size(),
+                             .seconds = seconds,
+                             .phases = PhaseBreakdown{compute_seconds, exchange_seconds,
+                                                      lb_seconds, checkpoint_seconds},
+                             .sent = exchange_buffers.totals.sent,
+                             .bytes = exchange_buffers.totals.bytes,
+                             .lb_actions = mesh_stats.transfers,
+                             .lb_bytes = mesh_stats.bytes_sent},
+                  result);
   if (config.ft.active()) {
     result.checkpoints = checkpoint_rounds;
     result.checkpoint_bytes = comm.allreduce_value(

@@ -1,20 +1,26 @@
 #include "par/driver_common.hpp"
 
 #include <algorithm>
+#include <functional>
 
 #include "util/assert.hpp"
 
 namespace picprk::par {
 
-EventTracker::EventTracker(const pic::Initializer& init, const pic::EventSchedule& events)
-    : init_(init), events_(events) {
-  base_ = pic::expected_checksum(init.total());
-  for (std::size_t e = 0; e < events_.injections().size(); ++e) {
-    const std::uint64_t first = events_.injection_first_id(init_, e);
-    const std::uint64_t count = events_.injection_total(init_, e);
-    if (count > 0) base_ += count * first + count * (count - 1) / 2;
+std::uint64_t expected_id_checksum(const pic::Initializer& init,
+                                   const pic::EventSchedule& events,
+                                   std::uint64_t removed_id_sum) {
+  std::uint64_t expected = pic::expected_checksum(init.total());
+  for (std::size_t e = 0; e < events.injections().size(); ++e) {
+    const std::uint64_t first = events.injection_first_id(init, e);
+    const std::uint64_t count = events.injection_total(init, e);
+    if (count > 0) expected += count * first + count * (count - 1) / 2;
   }
+  return expected - removed_id_sum;
 }
+
+EventTracker::EventTracker(const pic::Initializer& init, const pic::EventSchedule& events)
+    : init_(init), events_(events) {}
 
 void EventTracker::apply(std::uint32_t step, const pic::CellRegion& block,
                          std::vector<pic::Particle>& particles) {
@@ -35,18 +41,12 @@ void EventTracker::apply(std::uint32_t step, const pic::CellRegion& block,
 }
 
 void EventTracker::apply(std::uint32_t step, const pic::CellRegion& block,
-                         pic::ParticleSoA& particles, pic::TileIndex* tiles) {
-  if (!events_.scheduled_at(step)) return;
+                         pic::ParticleSoA& particles, pic::TileIndex& tiles) {
+  if (events_.empty() || !events_.scheduled_at(step)) return;
   std::vector<pic::Particle> staging = pic::to_aos(particles);
   apply(step, block, staging);
   particles.assign(staging);
-  if (tiles != nullptr) tiles->mark_dirty();
-}
-
-std::uint64_t EventTracker::finalize(comm::Comm& comm) const {
-  const std::uint64_t removed = comm.allreduce_value<std::uint64_t>(
-      local_removed_sum_, [](std::uint64_t a, std::uint64_t b) { return a + b; });
-  return base_ - removed;
+  tiles.mark_dirty();
 }
 
 pic::VerifyResult merge_verification(comm::Comm& comm, const pic::VerifyResult& local) {
@@ -109,25 +109,23 @@ obs::StepSample sample_step_telemetry(comm::Comm& comm, int step,
   return s;
 }
 
-void finalize_result(comm::Comm& comm, const pic::VerifyResult& local_verify,
-                     const EventTracker& tracker, std::uint64_t local_particles,
-                     double local_seconds, const PhaseBreakdown& local_phases,
-                     std::uint64_t local_sent, std::uint64_t local_bytes,
-                     std::uint64_t local_lb_actions, std::uint64_t local_lb_bytes,
+void finalize_result(comm::Comm& comm, const pic::Initializer& init,
+                     const pic::EventSchedule& events, const RankTotals& local,
                      DriverResult& result) {
-  result.verification = merge_verification(comm, local_verify);
-  result.expected_id_checksum = tracker.finalize(comm);
+  result.verification = merge_verification(comm, local.verify);
+  result.expected_id_checksum = expected_id_checksum(
+      init, events, comm.allreduce_value(local.removed_id_sum, std::plus<>{}));
   result.ok = result.verification.ok(result.expected_id_checksum);
 
   struct Scalars {
     std::uint64_t total_particles, max_particles, sent, bytes, lb_actions, lb_bytes;
     double seconds, compute, exchange, lb, checkpoint;
   };
-  const Scalars mine{local_particles, local_particles, local_sent,
-                     local_bytes,     local_lb_actions, local_lb_bytes,
-                     local_seconds,   local_phases.compute,
-                     local_phases.exchange, local_phases.lb,
-                     local_phases.checkpoint};
+  const Scalars mine{local.particles,      local.particles,  local.sent,
+                     local.bytes,          local.lb_actions, local.lb_bytes,
+                     local.seconds,        local.phases.compute,
+                     local.phases.exchange, local.phases.lb,
+                     local.phases.checkpoint};
   const Scalars merged = comm.allreduce_value<Scalars>(mine, [](Scalars a, Scalars b) {
     return Scalars{a.total_particles + b.total_particles,
                    std::max(a.max_particles, b.max_particles),

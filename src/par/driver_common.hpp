@@ -27,8 +27,9 @@ struct DriverConfig {
   /// When > 0, sample the global load imbalance (max/mean particles per
   /// rank) every this many steps into DriverResult::imbalance_series.
   std::uint32_t sample_every = 0;
-  /// Fault-tolerance hooks: injector, checkpoint cadence, resume flag.
-  /// All defaulted = legacy behaviour at the cost of one branch per step.
+  /// Fault-tolerance hooks of the block drivers: injector, store,
+  /// coordinator, resume flag. par::run_resilient wires them from
+  /// RunConfig::resilience; all defaulted = one branch per step.
   ft::FtOptions ft;
   /// Telemetry hooks (obs subsystem). Both pointers null (the default)
   /// = run dark; with a registry/trace attached the drivers register
@@ -77,9 +78,18 @@ struct DriverResult {
   std::vector<obs::StepSample> step_samples;
 };
 
-/// Tracks the expected id checksum through injections and removals.
-/// Injected id ranges are globally computable; removed ids are summed
-/// locally and reduced at the end.
+/// The closed-form id checksum a finished run must reproduce (paper
+/// §III-D): Σ id = n(n+1)/2 over the initial population, plus every
+/// scheduled injection's id range, minus `removed_id_sum`, the ids the
+/// removal events took out (summed over all ranks or VPs). Every
+/// parallel engine verifies against it.
+std::uint64_t expected_id_checksum(const pic::Initializer& init,
+                                   const pic::EventSchedule& events,
+                                   std::uint64_t removed_id_sum);
+
+/// Applies the population events to one rank's (or VP's) particles and
+/// sums the ids its removals take out — the one input of
+/// expected_id_checksum that is not globally computable.
 class EventTracker {
  public:
   EventTracker(const pic::Initializer& init, const pic::EventSchedule& events);
@@ -92,12 +102,9 @@ class EventTracker {
   /// SoA-store variant: events are rare, so they run on an AoS staging
   /// copy and the store is rebuilt from it — only on steps where
   /// something is actually scheduled (free otherwise). Invalidates a
-  /// maintained tile index (population and order change); may be null.
+  /// maintained tile index (population and order change).
   void apply(std::uint32_t step, const pic::CellRegion& block,
-             pic::ParticleSoA& particles, pic::TileIndex* tiles);
-
-  /// Expected global id checksum; collective (one allreduce).
-  std::uint64_t finalize(comm::Comm& comm) const;
+             pic::ParticleSoA& particles, pic::TileIndex& tiles);
 
   /// Checkpoint/restart access to the only mutable tracker state: the
   /// sum of ids this rank has removed so far.
@@ -107,7 +114,6 @@ class EventTracker {
  private:
   const pic::Initializer& init_;
   const pic::EventSchedule& events_;
-  std::uint64_t base_ = 0;
   std::uint64_t local_removed_sum_ = 0;
 };
 
@@ -126,14 +132,24 @@ obs::StepSample sample_step_telemetry(comm::Comm& comm, int step,
                                       std::uint64_t local_count,
                                       double local_compute_seconds);
 
-/// Reduces per-rank scalar maxima/sums into a DriverResult (collective).
-/// `local_*` are this rank's totals; the result is identical on every
-/// rank.
-void finalize_result(comm::Comm& comm, const pic::VerifyResult& local_verify,
-                     const EventTracker& tracker, std::uint64_t local_particles,
-                     double local_seconds, const PhaseBreakdown& local_phases,
-                     std::uint64_t local_sent, std::uint64_t local_bytes,
-                     std::uint64_t local_lb_actions, std::uint64_t local_lb_bytes,
+/// One rank's end-of-run totals, reduced by finalize_result.
+struct RankTotals {
+  pic::VerifyResult verify;
+  std::uint64_t removed_id_sum = 0;  ///< ids this rank's removal events took out
+  std::uint64_t particles = 0;
+  double seconds = 0.0;
+  PhaseBreakdown phases;
+  std::uint64_t sent = 0;
+  std::uint64_t bytes = 0;
+  std::uint64_t lb_actions = 0;
+  std::uint64_t lb_bytes = 0;
+};
+
+/// Reduces every rank's totals into `result` — verification against
+/// expected_id_checksum, sums and maxima (collective; the result is
+/// identical on every rank).
+void finalize_result(comm::Comm& comm, const pic::Initializer& init,
+                     const pic::EventSchedule& events, const RankTotals& local,
                      DriverResult& result);
 
 }  // namespace picprk::par

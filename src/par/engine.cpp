@@ -1,10 +1,9 @@
 #include "par/engine.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 #include <utility>
 
-#include "comm/world.hpp"
-#include "ft/checkpoint.hpp"
 #include "ft/fault.hpp"
 #include "obs/registry.hpp"
 #include "par/ampi.hpp"
@@ -17,14 +16,6 @@
 namespace picprk::par {
 
 namespace {
-
-/// Copies every counter of a per-instance registry (fault injector,
-/// checkpoint store) into the run registry for export.
-void absorb_counters(obs::Registry& registry, const obs::Registry& source) {
-  for (const auto& view : source.counters()) {
-    registry.register_counter(view.name).add(view.value);
-  }
-}
 
 /// The serial reference kernel behind the Engine interface. Maps the
 /// SimulationResult onto the DriverResult fields it populates; the
@@ -54,91 +45,100 @@ class SerialEngine final : public Engine {
   }
 };
 
-/// baseline / diffusion: the block driver on a threadcomm world per run,
-/// optionally wrapped in the run_resilient recovery loop when any
+/// baseline / diffusion (run_block) and async (run_async): a collective
+/// driver on a threadcomm world, stepped through run_resilient, which
+/// turns config.resilience into the World, its fault injector and its
+/// checkpoint store. The recovery-loop telemetry is reported when any
 /// resilience knob is set.
 class WorldEngine final : public Engine {
  public:
-  WorldEngine(std::string name, RunConfig config)
-      : Engine(std::move(name), std::move(config)) {}
+  WorldEngine(std::string name, RunConfig config, DriverFn driver)
+      : Engine(std::move(name), std::move(config)), driver_(std::move(driver)) {}
 
   RunReport run() override {
     RunReport report;
     report.impl = name_;
-    if (config_.resilience.active()) {
-      report.ft_telemetry = true;
-      report.result = run_resilient(config_, &run_block, &report.ft);
-      // "ft/rollbacks", "ft/localized_recoveries" and "ft/replayed_steps"
-      // are registered by run_resilient itself on config_.obs.registry.
-      if (obs::Registry* reg = config_.obs.registry) {
-        reg->register_counter("ft/dropped").add(report.ft.dropped);
-        reg->register_counter("ft/duplicated").add(report.ft.duplicated);
-        reg->register_counter("ft/delayed").add(report.ft.delayed);
-        reg->register_counter("ft/kills").add(report.ft.kills);
-        reg->register_counter("ft/stalls").add(report.ft.stalls);
-        reg->register_counter("ft/checkpoint_saves").add(report.ft.checkpoint_saves);
-        reg->register_counter("ft/residual_messages").add(report.ft.residual_messages);
-        reg->register_counter("ft/retransmits").add(report.ft.retransmits);
-        reg->register_counter("ft/dup_dropped").add(report.ft.dup_dropped);
-        reg->register_counter("ft/abandoned").add(report.ft.abandoned);
-      }
-    } else {
-      comm::World world(config_.ranks);
-      world.run([&](comm::Comm& comm) {
-        DriverResult r = run_block(comm, config_);
-        if (comm.rank() == 0) report.result = r;
-      });
+    report.result = run_resilient(config_, driver_, &report.ft);
+    report.ft_telemetry = config_.resilience.active();
+    // "ft/rollbacks", "ft/localized_recoveries" and "ft/replayed_steps"
+    // are registered by run_resilient itself on config_.obs.registry.
+    if (obs::Registry* reg = config_.obs.registry; reg != nullptr && report.ft_telemetry) {
+      reg->register_counter("ft/dropped").add(report.ft.dropped);
+      reg->register_counter("ft/duplicated").add(report.ft.duplicated);
+      reg->register_counter("ft/delayed").add(report.ft.delayed);
+      reg->register_counter("ft/kills").add(report.ft.kills);
+      reg->register_counter("ft/stalls").add(report.ft.stalls);
+      reg->register_counter("ft/checkpoint_saves").add(report.ft.checkpoint_saves);
+      reg->register_counter("ft/residual_messages").add(report.ft.residual_messages);
+      reg->register_counter("ft/retransmits").add(report.ft.retransmits);
+      reg->register_counter("ft/dup_dropped").add(report.ft.dup_dropped);
+      reg->register_counter("ft/abandoned").add(report.ft.abandoned);
     }
     absorb(report.result);
     return report;
   }
+
+ private:
+  DriverFn driver_;
 };
 
-/// ampi/vpr: no World, so the fault injector and checkpoint store are
-/// installed as in-process hooks; the driver recovers by rewinding and
-/// pup_unpack-ing. Their metrics registries are folded into the run
-/// registry after the fact.
+/// ampi/vpr: no World; its par::VpHost installs the fault injector and
+/// checkpoint store as in-process hooks, recovers by rewinding and
+/// pup_unpack-ing, and folds their counters into config_.obs.registry.
 class AmpiEngine final : public Engine {
  public:
   explicit AmpiEngine(RunConfig config) : Engine("ampi", std::move(config)) {}
 
   RunReport run() override {
-    ft::FaultInjector injector(config_.resilience.plan);
-    ft::CheckpointStore store;
-    RunConfig cfg = config_;
-    const bool resilient = cfg.resilience.active();
-    if (resilient) {
-      cfg.ft.injector = cfg.resilience.plan.empty() ? nullptr : &injector;
-      cfg.ft.store = cfg.resilience.checkpoint_every > 0 ? &store : nullptr;
-      cfg.ft.checkpoint_every = cfg.resilience.checkpoint_every;
-    }
     RunReport report;
     report.impl = name_;
-    report.result = run_ampi(cfg);
-    absorb(report.result);
-    if (obs::Registry* reg = config_.obs.registry; reg != nullptr && resilient) {
-      absorb_counters(*reg, injector.metrics());
-      absorb_counters(*reg, store.metrics());
-    }
-    return report;
-  }
-};
-
-/// The queue-driven engine (par/async.hpp). Message faults and the
-/// reliable transport are wired inside run_async itself; kill/stall
-/// plans and checkpointing are rejected there with invalid_argument.
-class AsyncEngine final : public Engine {
- public:
-  explicit AsyncEngine(RunConfig config) : Engine("async", std::move(config)) {}
-
-  RunReport run() override {
-    RunReport report;
-    report.impl = name_;
-    report.result = run_async(config_);
+    report.result = run_ampi(config_);
     absorb(report.result);
     return report;
   }
 };
+
+/// Rejects, up front, every knob the named engine would otherwise
+/// silently ignore (the table in docs/RESILIENCE.md).
+void reject_ignored_knobs(const RunConfig& config) {
+  const std::string& impl = config.impl;
+  const auto reject = [&](const std::string& knob, const std::string& why) {
+    throw std::invalid_argument(impl + " does not accept " + knob + ": " + why);
+  };
+  const bool serial = impl == "serial";
+  const bool world = impl == "baseline" || impl == "diffusion" || impl == "async";
+  if ((serial || impl == "baseline") && !config.lb.strategy.empty()) {
+    reject("--balancer " + config.lb.strategy,
+           impl + " has no load balancer; use --impl diffusion to balance");
+  }
+  const ResilienceOptions& r = config.resilience;
+  for (const ft::FaultSpec& spec : r.plan.specs) {
+    const std::string knob = std::string("--faults ") + ft::to_string(spec.kind);
+    const bool step_fault =
+        spec.kind == ft::FaultKind::Kill || spec.kind == ft::FaultKind::Stall;
+    if (serial) reject(knob, "the serial reference injects no faults");
+    if (!step_fault && !world) {
+      reject(knob, "message faults act on a comm::World's mailboxes, and ampi has none");
+    }
+    if (step_fault && impl == "async") {
+      reject(knob, "async has no checkpoint/rollback ladder; use baseline, "
+                   "diffusion or ampi for recovery drills");
+    }
+    if (spec.kind == ft::FaultKind::Stall && spec.ms <= 0 && impl == "ampi") {
+      // ms <= 0 stalls until the world aborts, and a VP has no world.
+      reject(knob + " without a finite ms=", "a VP stall would never end");
+    }
+  }
+  if (r.checkpoint_every > 0 && (serial || impl == "async")) {
+    reject("--checkpoint-every", impl + " has no checkpoint/rollback ladder");
+  }
+  if (!world) {
+    const char* why = "it acts on a comm::World, and this engine has none";
+    if (r.reliable) reject("--reliable", why);
+    if (r.timeout_ms > 0) reject("--timeout-ms", why);
+    if (r.deadlock_ms > 0) reject("--deadlock-ms", why);
+  }
+}
 
 }  // namespace
 
@@ -221,29 +221,24 @@ const std::vector<std::string>& engine_names() {
 }
 
 std::unique_ptr<Engine> make_engine(RunConfig config) {
-  config.resilience.validate();  // loud cross-knob rejection up front
   const std::string impl = config.impl;
-  if (impl == "serial") return std::make_unique<SerialEngine>(std::move(config));
-  if (impl == "baseline" || impl == "diffusion") {
-    if (impl == "baseline") {
-      // Baseline is the block driver with its bounds left static.
-      if (!config.lb.strategy.empty()) {
-        throw std::invalid_argument("baseline has no load balancer (got '" +
-                                    config.lb.strategy +
-                                    "'); use --impl diffusion to balance");
-      }
-      config.lb.every = 0;
+  const std::vector<std::string>& names = engine_names();
+  if (std::find(names.begin(), names.end(), impl) == names.end()) {
+    std::string known;
+    for (const std::string& name : names) {
+      if (!known.empty()) known += " | ";
+      known += name;
     }
-    return std::make_unique<WorldEngine>(impl, std::move(config));
+    throw std::invalid_argument("unknown impl: " + impl + " (" + known + ')');
   }
+  config.resilience.validate();  // loud cross-knob rejection up front
+  reject_ignored_knobs(config);
+  if (impl == "serial") return std::make_unique<SerialEngine>(std::move(config));
   if (impl == "ampi") return std::make_unique<AmpiEngine>(std::move(config));
-  if (impl == "async") return std::make_unique<AsyncEngine>(std::move(config));
-  std::string known;
-  for (const std::string& name : engine_names()) {
-    if (!known.empty()) known += " | ";
-    known += name;
-  }
-  throw std::invalid_argument("unknown impl: " + impl + " (" + known + ')');
+  // Baseline is the block driver with its bounds left static.
+  if (impl == "baseline") config.lb.every = 0;
+  const DriverFn driver = impl == "async" ? DriverFn(&run_async) : DriverFn(&run_block);
+  return std::make_unique<WorldEngine>(impl, std::move(config), driver);
 }
 
 }  // namespace picprk::par

@@ -1,6 +1,7 @@
 // One front door for every driver: `make_engine(config)` resolves
 // `config.impl` to an Engine whose run() owns the whole lifecycle —
-// resilience validation, fault-hook wiring, the resilient re-run loop,
+// knob validation, the resilient re-run loop (par::run_resilient for
+// the World-backed baseline, diffusion and async; par::VpHost for ampi),
 // telemetry absorption into the run registry — and returns a typed
 // RunReport. The CLI and the job server stop switch-casing on driver
 // names, and the RESULT-line grammar is rendered in exactly one place
@@ -23,9 +24,9 @@ namespace picprk::par {
 struct RunReport {
   std::string impl;     ///< engine name that produced this report
   DriverResult result;  ///< merged driver result (identical on all ranks)
-  /// Recovery-loop observations. Only meaningful when `ft_telemetry`
-  /// is set (the run went through run_resilient); ampi and async handle
-  /// faults in-process and report through `result` instead.
+  /// Recovery-loop observations of the World-backed engines. Only
+  /// meaningful when `ft_telemetry` is set (a resilience knob was set);
+  /// ampi handles faults in-process and reports through `result` instead.
   ResilienceTelemetry ft;
   bool ft_telemetry = false;
 
@@ -73,9 +74,10 @@ class Engine {
 /// Engine names in pipeline order — the value set of RunConfig::impl.
 const std::vector<std::string>& engine_names();
 
-/// Resolves config.impl against the engine table. Validates the
-/// resilience knobs up front; throws std::invalid_argument for an
-/// unknown impl or a nonsensical knob combination.
+/// Resolves config.impl against the engine table. Validates the knobs
+/// up front; throws std::invalid_argument for an unknown impl, a
+/// nonsensical knob combination, or a knob the engine would silently
+/// ignore (naming the knob and the engine; docs/RESILIENCE.md §7).
 std::unique_ptr<Engine> make_engine(RunConfig config);
 
 }  // namespace picprk::par

@@ -193,11 +193,19 @@ IrregularResult run_irregular(comm::Comm& comm, const DriverConfig& config,
   const pic::VerifyResult local_verify =
       verify_particles(std::span<const pic::Particle>(particles), grid, config.steps,
                        config.verify_epsilon);
-  finalize_result(comm, local_verify, tracker, particles.size(), seconds,
-                  PhaseBreakdown{compute_timer.total(), exchange_timer.total(),
-                                 lb_timer.total()},
-                  sent, bytes, lb_actions,
-                  static_cast<std::uint64_t>(lb_actions) * sizeof(double), result.driver);
+  finalize_result(comm, init, config.events,
+                  RankTotals{.verify = local_verify,
+                             .removed_id_sum = tracker.removed_sum(),
+                             .particles = particles.size(),
+                             .seconds = seconds,
+                             .phases = PhaseBreakdown{compute_timer.total(),
+                                                      exchange_timer.total(),
+                                                      lb_timer.total()},
+                             .sent = sent,
+                             .bytes = bytes,
+                             .lb_actions = lb_actions,
+                             .lb_bytes = lb_actions * sizeof(double)},
+                  result.driver);
   return result;
 }
 

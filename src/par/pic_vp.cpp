@@ -4,8 +4,7 @@
 #include <optional>
 #include <vector>
 
-#include "ft/checkpoint.hpp"
-#include "ft/fault.hpp"
+#include "obs/registry.hpp"
 #include "pic/mover.hpp"
 #include "util/assert.hpp"
 #include "vpr/pup.hpp"
@@ -13,7 +12,9 @@
 namespace picprk::par {
 
 PicVp::PicVp(int id, std::shared_ptr<const PicVpShared> shared)
-    : VirtualProcessor(id), shared_(std::move(shared)) {
+    : VirtualProcessor(id),
+      shared_(std::move(shared)),
+      tracker_(shared_->init, shared_->events) {
   block_ = shared_->vp_block(id);
   tiles_.reset_region(block_);
   const pic::AlternatingColumnCharges pattern(shared_->init_params.mesh_q);
@@ -34,30 +35,9 @@ void PicVp::step(vpr::VpContext& ctx) {
   // Scripted step faults address VPs here (there are no world ranks).
   // No abort flag exists under vpr, so finite stalls sleep in full;
   // infinite stalls (ms=inf) are a threadcomm-only scenario.
-  if (shared_->ft.injector != nullptr) {
-    shared_->ft.injector->begin_step(id(), step);
-  }
+  if (shared_->injector != nullptr) shared_->injector->begin_step(id(), step);
 
-  // Events are rare: stage through the AoS wire form only on steps
-  // where something is scheduled (free otherwise).
-  if (!shared_->events.empty() && shared_->events.scheduled_at(step)) {
-    std::vector<pic::Particle> staging = pic::to_aos(particles_);
-    for (std::size_t e = 0; e < shared_->events.removals().size(); ++e) {
-      if (shared_->events.removals()[e].step != step) continue;
-      const pic::CellRegion& region = shared_->events.removals()[e].region;
-      for (const pic::Particle& p : staging) {
-        const auto cx = grid.cell_of(p.x);
-        const auto cy = grid.cell_of(p.y);
-        if (region.contains_cell(cx, cy) && shared_->events.removes(shared_->init, e, p.id)) {
-          removed_id_sum_ += p.id;
-        }
-      }
-    }
-    shared_->events.apply_step(shared_->init, step, block_.x0, block_.x1, block_.y0,
-                               block_.y1, staging);
-    particles_.assign(staging);
-    tiles_.mark_dirty();
-  }
+  tracker_.apply(step, block_, particles_, tiles_);
 
   pic::move_all_tiled(particles_, tiles_, grid, slab_, shared_->init_params.dt);
 
@@ -127,21 +107,11 @@ void PicVp::pup(vpr::Pup& p) {
     p(values);
   }
   particles_.pup(p);  // stages through the AoS wire form
-  p(removed_id_sum_);
+  std::uint64_t removed = tracker_.removed_sum();
+  p(removed);
+  if (p.unpacking()) tracker_.restore_removed_sum(removed);
   p(sent_particles_);
   if (p.unpacking()) tiles_.mark_dirty();
-}
-
-std::uint64_t vpr_expected_checksum(const pic::Initializer& init,
-                                    const pic::EventSchedule& events,
-                                    std::uint64_t removed_id_sum) {
-  std::uint64_t expected = pic::expected_checksum(init.total());
-  for (std::size_t e = 0; e < events.injections().size(); ++e) {
-    const std::uint64_t first = events.injection_first_id(init, e);
-    const std::uint64_t count = events.injection_total(init, e);
-    if (count > 0) expected += count * first + count * (count - 1) / 2;
-  }
-  return expected - removed_id_sum;
 }
 
 void accumulate_vp_verification(const PicVp& vp, const DriverConfig& config,
@@ -174,22 +144,20 @@ vpr::RuntimeConfig runtime_config(const RunConfig& config) {
 
 VpHost::VpHost(const RunConfig& config)
     : config_(config),
+      injector_(config.resilience.plan),
       shared_(std::make_shared<const PicVpShared>(
-          config, config.workers * config.overdecomposition)),
+          config, config.workers * config.overdecomposition,
+          config.resilience.plan.empty() ? nullptr : &injector_)),
       runtime_(runtime_config(config), [shared = shared_](int vp) {
         return std::make_unique<PicVp>(vp, shared);
-      }) {
+      }),
+      cadence_(config.resilience.checkpoint_cadence()) {
   runtime_.for_each_vp(
       [](vpr::VirtualProcessor& vp) { static_cast<PicVp&>(vp).populate(); });
-  // Localized recovery needs per-step checkpoints so the survivors
-  // replay at most one superstep.
-  const bool checkpointing = config.ft.checkpointing();
-  local_ = checkpointing && config.resilience.recovery == RecoveryMode::kLocal;
-  cadence_ = local_ ? 1 : (checkpointing ? config.ft.checkpoint_every : 0);
+  local_ = cadence_ > 0 && config.resilience.recovery == RecoveryMode::kLocal;
 }
 
 bool VpHost::advance(const obs::StepInstruments* inst) {
-  ft::CheckpointStore* store = config_.ft.store;
   if (cadence_ > 0 && step() % cadence_ == 0) {
     // Double in-memory checkpoint: primary and buddy copy, both keyed by
     // the VP id (the "rank" of a VP host).
@@ -199,8 +167,8 @@ bool VpHost::advance(const obs::StepInstruments* inst) {
     for (int v = 0; v < runtime_.vps(); ++v) {
       std::vector<std::byte> packed = vpr::pup_pack(runtime_.vp(v));
       ft_.checkpoint_bytes += 2 * packed.size();
-      store->save_buddy(v, step(), packed);
-      store->save(v, step(), std::move(packed));
+      store_.save_buddy(v, step(), packed);
+      store_.save(v, step(), std::move(packed));
     }
     ++ft_.checkpoints;
   }
@@ -215,11 +183,11 @@ bool VpHost::advance(const obs::StepInstruments* inst) {
     const int dead_worker = runtime_.worker_of(e.rank());
     for (int v = 0; v < runtime_.vps(); ++v) {
       if (local_ ? runtime_.worker_of(v) == dead_worker : v == e.rank()) {
-        store->drop_primary(v);
+        store_.drop_primary(v);
       }
     }
     std::uint32_t& attempts = local_ ? ft_.localized : ft_.rollbacks;
-    const std::optional<std::uint32_t> consistent = store->consistent_step(runtime_.vps());
+    const std::optional<std::uint32_t> consistent = store_.consistent_step(runtime_.vps());
     if (!consistent || attempts >= config_.resilience.max_recoveries) throw;
     ++attempts;
     if (local_) ft_.replayed += step() - *consistent;
@@ -227,7 +195,7 @@ bool VpHost::advance(const obs::StepInstruments* inst) {
     // rebuilt from its surviving copy.
     runtime_.rewind(*consistent);
     for (int v = 0; v < runtime_.vps(); ++v) {
-      std::optional<std::vector<std::byte>> bytes = store->load(v, *consistent);
+      std::optional<std::vector<std::byte>> bytes = store_.load(v, *consistent);
       PICPRK_ASSERT_MSG(bytes.has_value(), "consistent checkpoint is missing a vp snapshot");
       vpr::pup_unpack(runtime_.vp(v), std::move(*bytes));
     }
@@ -244,7 +212,15 @@ VpHost::Tally VpHost::tally() {
     accumulate_vp_verification(static_cast<PicVp&>(vp), config_, out.vps);
   });
   out.expected_checksum =
-      vpr_expected_checksum(shared_->init, config_.events, out.vps.removed_id_sum);
+      expected_id_checksum(shared_->init, shared_->events, out.vps.removed_id_sum);
+  if (obs::Registry* registry = config_.obs.registry;
+      registry != nullptr && config_.resilience.active()) {
+    for (const obs::Registry* source : {&injector_.metrics(), &store_.metrics()}) {
+      for (const auto& view : source->counters()) {
+        registry->register_counter(view.name).add(view.value);
+      }
+    }
+  }
   return out;
 }
 

@@ -2,8 +2,10 @@
 // unit of work the ampi driver (§IV-C) runs under the vpr runtime — and
 // VpHost, the one host of a set of them: run_ampi steps one VpHost, and
 // every svc::Job (docs/SERVICE.md) steps its own private one, so the VP
-// construction, the checkpoint/rollback rung, the step clock and the
-// final tally exist once for both.
+// construction, the resilience wiring (fault injector, checkpoint store,
+// cadence), the checkpoint/rollback rung, the step clock and the final
+// tally exist once for both. The async engine steps the same PicVps
+// over a comm::World instead (par/async.hpp).
 #pragma once
 
 #include <cstddef>
@@ -12,7 +14,8 @@
 #include <vector>
 
 #include "comm/cart.hpp"
-#include "ft/options.hpp"
+#include "ft/checkpoint.hpp"
+#include "ft/fault.hpp"
 #include "obs/phase.hpp"
 #include "par/driver_common.hpp"
 #include "par/exchange.hpp"
@@ -30,14 +33,15 @@ struct PicVpShared {
   pic::Initializer init;
   pic::EventSchedule events;
   comm::Cart2D vcart;  ///< VP grid (Vx × Vy)
-  ft::FtOptions ft;    ///< fault/checkpoint hooks; rank space = VP ids
+  /// Step faults (kill, stall) addressed by VP id; null = none. Not owned.
+  ft::FaultInjector* injector;
 
-  PicVpShared(const DriverConfig& config, int vps)
+  PicVpShared(const DriverConfig& config, int vps, ft::FaultInjector* injector = nullptr)
       : init_params(config.init),
         init(config.init),
         events(config.events),
         vcart(vps),
-        ft(config.ft) {}
+        injector(injector) {}
 
   pic::CellRegion vp_block(int vp) const {
     const auto [vx, vy] = vcart.coords_of(vp);
@@ -71,7 +75,7 @@ class PicVp final : public vpr::VirtualProcessor {
   void pup(vpr::Pup& p) override;
 
   const pic::ParticleSoA& particles() const { return particles_; }
-  std::uint64_t removed_id_sum() const { return removed_id_sum_; }
+  std::uint64_t removed_id_sum() const { return tracker_.removed_sum(); }
   std::uint64_t sent_particles() const { return sent_particles_; }
 
  private:
@@ -82,20 +86,11 @@ class PicVp final : public vpr::VirtualProcessor {
   pic::ChargeSlab slab_;
   pic::ParticleSoA particles_;
   pic::TileIndex tiles_;  // pup:transient — rebuilt from the store after unpack
-  std::uint64_t removed_id_sum_ = 0;
+  EventTracker tracker_;  ///< applies the events; pups its removed-id sum
   std::uint64_t sent_particles_ = 0;
   // Routing scratch: a migrated VP simply re-warms its buffers.
   ExchangeBuffers route_;  // pup:transient
 };
-
-/// The closed-form id checksum a finished vpr-hosted kernel instance
-/// must reproduce: Σ id over the initial population (n(n+1)/2 by
-/// construction), plus every scheduled injection's id range, minus the
-/// ids actually removed (summed over the VPs). Shared by VpHost and
-/// run_async so both verify against the identical invariant.
-std::uint64_t vpr_expected_checksum(const pic::Initializer& init,
-                                    const pic::EventSchedule& events,
-                                    std::uint64_t removed_id_sum);
 
 /// End-of-run verification tallies over a set of vpr-hosted PicVps.
 struct VpVerifyTally {
@@ -106,7 +101,7 @@ struct VpVerifyTally {
 
 /// Folds one VP's final population into the closed-form check: position
 /// verification against the analytic trajectory plus the removed-id and
-/// sent-particle tallies that feed `vpr_expected_checksum`. Shared by
+/// sent-particle tallies that feed `expected_id_checksum`. Shared by
 /// VpHost and run_async so every host of the VP classes finalizes
 /// against the identical invariant.
 void accumulate_vp_verification(const PicVp& vp, const DriverConfig& config,
@@ -114,7 +109,9 @@ void accumulate_vp_verification(const PicVp& vp, const DriverConfig& config,
 
 /// One vpr-hosted kernel instance — the PicVpShared, the vpr::Runtime
 /// over its populated VPs and their in-process checkpoint/rollback rung
-/// (docs/RESILIENCE.md). Runtime::current_step() is its only step clock.
+/// (docs/RESILIENCE.md). It alone turns config.resilience into a fault
+/// injector (step faults by VP id), a checkpoint store and a cadence.
+/// Runtime::current_step() is its only step clock.
 class VpHost {
  public:
   /// What the checkpoint/rollback rung did so far.
@@ -139,11 +136,11 @@ class VpHost {
   VpHost(const VpHost&) = delete;
   VpHost& operator=(const VpHost&) = delete;
 
-  /// Checkpoints when due (config.ft.checkpoint_every; every step under
-  /// RecoveryMode::kLocal), then runs one superstep: true. On an injected
-  /// VP death: drops the lost primaries (the VP's, or in local mode its
-  /// worker's), restores the newest consistent step, retires the worker
-  /// in local mode, and returns false. Rethrows without a consistent step
+  /// Checkpoints when due (config.resilience.checkpoint_cadence()), then
+  /// runs one superstep: true. On an injected VP death: drops the lost
+  /// primaries (the VP's, or in local mode its worker's), restores the
+  /// newest consistent step, retires the worker in local mode, and
+  /// returns false. Rethrows without a consistent step
   /// or after config.resilience.max_recoveries repairs of that kind.
   /// `inst` receives the checkpoint phase.
   bool advance(const obs::StepInstruments* inst = nullptr);
@@ -155,11 +152,15 @@ class VpHost {
   PicVp& vp(int id) { return static_cast<PicVp&>(runtime_.vp(id)); }
   const FtStats& ft() const { return ft_; }
 
-  /// The closed-form check over every VP's final population.
+  /// The closed-form check over every VP's final population. Call once,
+  /// at the end: when a resilience knob is set it also folds the
+  /// injector's and the store's counters into config.obs.registry.
   Tally tally();
 
  private:
   RunConfig config_;
+  ft::FaultInjector injector_;
+  ft::CheckpointStore store_;
   std::shared_ptr<const PicVpShared> shared_;
   vpr::Runtime runtime_;
   bool local_ = false;

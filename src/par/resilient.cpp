@@ -77,7 +77,7 @@ DriverResult run_resilient(const RunConfig& config, const DriverFn& driver,
   comm::World world(ranks, world_options);
 
   // Localized recovery needs every step checkpointed so the surviving
-  // ranks replay at most one step (validated above: cadence > 0).
+  // ranks replay at most one step (validated above: checkpoint_every > 0).
   std::optional<ft::RecoveryCoordinator> coordinator;
   if (local_mode) {
     coordinator.emplace(&store, ranks,
@@ -86,8 +86,7 @@ DriverResult run_resilient(const RunConfig& config, const DriverFn& driver,
 
   RunConfig cfg = config;
   cfg.ft.injector = options.plan.empty() ? nullptr : &injector;
-  cfg.ft.store = options.checkpoint_every > 0 ? &store : nullptr;
-  cfg.ft.checkpoint_every = local_mode ? 1 : options.checkpoint_every;
+  cfg.ft.store = options.checkpoint_cadence() > 0 ? &store : nullptr;
   cfg.ft.coordinator = coordinator ? &*coordinator : nullptr;
   cfg.ft.resume = false;
 
@@ -107,11 +106,12 @@ DriverResult run_resilient(const RunConfig& config, const DriverFn& driver,
   };
 
   // Per-process obs mirrors of the ladder's outcome counters — the
-  // instrument the acceptance criteria read ("zero rollbacks").
+  // instrument the acceptance criteria read ("zero rollbacks"). A run
+  // with no resilience knob set registers none of them.
   obs::Counter* rollback_counter = nullptr;
   obs::Counter* localized_counter = nullptr;
   obs::Counter* replayed_counter = nullptr;
-  if (cfg.obs.registry != nullptr) {
+  if (cfg.obs.registry != nullptr && options.active()) {
     rollback_counter = &cfg.obs.registry->register_counter("ft/rollbacks");
     localized_counter = &cfg.obs.registry->register_counter("ft/localized_recoveries");
     replayed_counter = &cfg.obs.registry->register_counter("ft/replayed_steps");

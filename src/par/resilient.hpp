@@ -88,7 +88,9 @@ struct ResilienceTelemetry {
 using DriverFn = std::function<DriverResult(comm::Comm&, const RunConfig&)>;
 
 /// Runs `driver` on config.ranks threadcomm ranks under fault injection
-/// with buddy checkpointing, per config.resilience. On an injected
+/// with buddy checkpointing, per config.resilience — the one World
+/// wiring of every World-backed engine (baseline, diffusion, async),
+/// with or without resilience knobs. On an injected
 /// failure (RankKilled, CommTimeout, DeadlockDetected) the aborted world
 /// is drained, the dead rank's primary snapshots are discarded, and the
 /// driver is re-run with RunConfig::ft.resume set so every rank restarts

@@ -81,6 +81,13 @@ struct ResilienceOptions {
            deadlock_ms > 0 || recovery == RecoveryMode::kLocal || reliable;
   }
 
+  /// Steps between the checkpoints a driver takes (0 = none): localized
+  /// recovery checkpoints every step, so the survivors replay at most one.
+  std::uint32_t checkpoint_cadence() const {
+    if (checkpoint_every == 0) return 0;
+    return recovery == RecoveryMode::kLocal ? 1 : checkpoint_every;
+  }
+
   /// Loud cross-knob validation, mirroring the lb spec parser: a
   /// nonsensical combination throws std::invalid_argument naming the
   /// knobs instead of silently running a plan that cannot work.

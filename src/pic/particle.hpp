@@ -133,19 +133,6 @@ struct ParticleSoA {
 #undef PICPRK_FIELD
   }
 
-  /// O(1) unordered removal: moves the last row into slot `i` and pops.
-  /// Invalidates any tile index over the store (order changes).
-  // picprk-lint: suppress(reach: ParticleSoA.SwapRemoveKeepsAllColumnsInLockstep calls it)
-  void swap_remove(std::size_t i) {
-    const std::size_t last = size() - 1;
-#define PICPRK_FIELD(type, name, init) name[i] = name[last];
-    PICPRK_PARTICLE_FIELDS(PICPRK_FIELD)
-#undef PICPRK_FIELD
-#define PICPRK_FIELD(type, name, init) name.pop_back();
-    PICPRK_PARTICLE_FIELDS(PICPRK_FIELD)
-#undef PICPRK_FIELD
-  }
-
   /// Drops rows [n, size()) — the tail half of a compaction.
   void truncate(std::size_t n) {
 #define PICPRK_FIELD(type, name, init) name.resize(n);

@@ -81,7 +81,7 @@ class TileIndex {
   }
 
   /// False once any operation broke the tile ⇄ cell correspondence
-  /// (scatter detected, swap_remove, restore...). A dirty index must be
+  /// (scatter detected, events, restore...). A dirty index must be
   /// rebuilt before the tiles are trusted again.
   bool fresh() const { return !dirty_; }
   void mark_dirty() { dirty_ = true; }

@@ -24,20 +24,18 @@ const char* to_string(JobState state) {
 
 Job::Job(int id, JobSpec spec) : id_(id), spec_(std::move(spec)) {
   spec_.run.workers = 1;  // the server's pool supplies the parallelism
+  // The drill knobs become the run's resilience plan; the host wires it.
+  ft::FaultPlan plan;
   if (spec_.kill_vp >= 0) {
-    ft::FaultPlan plan;
     plan.seed = 1;
     ft::FaultSpec kill;
     kill.kind = ft::FaultKind::Kill;
     kill.rank = spec_.kill_vp;
     kill.step = spec_.kill_step;
     plan.specs.push_back(kill);
-    injector_ = std::make_unique<ft::FaultInjector>(std::move(plan));
   }
-  if (spec_.checkpoint_every > 0) store_ = std::make_unique<ft::CheckpointStore>();
-  spec_.run.ft.injector = injector_.get();
-  spec_.run.ft.store = store_.get();
-  spec_.run.ft.checkpoint_every = spec_.checkpoint_every;
+  spec_.run.resilience.plan = std::move(plan);
+  spec_.run.resilience.checkpoint_every = spec_.checkpoint_every;
   // Registry: this job's own. Trace: deliberately none — every vpr
   // runtime names its VP lanes under pid 1, so per-job runtimes sharing
   // one Trace would collide; the server instead keeps one lane per job
@@ -131,16 +129,6 @@ void Job::finalize() {
       .set(static_cast<double>(result_.final_particles));
   registry_.register_counter("job/recoveries").add(result_.recoveries);
   registry_.register_counter("job/migrations").add(result_.migrations);
-  if (injector_ != nullptr) {
-    for (const auto& view : injector_->metrics().counters()) {
-      registry_.register_counter(view.name).add(view.value);
-    }
-  }
-  if (store_ != nullptr) {
-    for (const auto& view : store_->metrics().counters()) {
-      registry_.register_counter(view.name).add(view.value);
-    }
-  }
   state_ = JobState::kDone;
 }
 

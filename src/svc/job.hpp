@@ -1,8 +1,9 @@
 // One tenant of the job server (docs/SERVICE.md): a complete kernel
 // instance — its own par::VpHost (the vpr runtime over par::PicVp
-// subdomains that run_ampi also steps), its own obs::Registry, its own
-// fault injector and checkpoint store — wrapped behind an
-// advance(n)/finalize lifecycle the server can drive in quanta. Nothing in here touches process-global state: two Jobs are as
+// subdomains that run_ampi also steps, with its own fault injector and
+// checkpoint store), its own obs::Registry — wrapped behind an
+// advance(n)/finalize lifecycle the server can drive in quanta. Nothing
+// in here touches process-global state: two Jobs are as
 // isolated as two picprk processes, which is what makes the per-tenant
 // metrics documents disjoint and a fault drill in one tenant invisible
 // to its neighbours.
@@ -17,8 +18,6 @@
 #include <string>
 #include <vector>
 
-#include "ft/checkpoint.hpp"
-#include "ft/fault.hpp"
 #include "obs/registry.hpp"
 #include "obs/sinks.hpp"
 #include "par/pic_vp.hpp"
@@ -108,8 +107,6 @@ class Job {
 
   // Per-tenant instance state — no process-global anywhere.
   obs::Registry registry_;
-  std::unique_ptr<ft::FaultInjector> injector_;
-  std::unique_ptr<ft::CheckpointStore> store_;
   std::unique_ptr<par::VpHost> host_;
   obs::Histogram* step_hist_ = nullptr;  ///< svc/step_seconds (p99 source)
 

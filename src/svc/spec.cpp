@@ -4,6 +4,7 @@
 #include <stdexcept>
 
 #include "lb/registry.hpp"
+#include "util/cli.hpp"
 
 namespace picprk::svc {
 
@@ -12,11 +13,8 @@ namespace {
 std::int64_t to_int(const std::string& job, const std::string& key,
                     const std::string& value) {
   try {
-    std::size_t used = 0;
-    const std::int64_t v = std::stoll(value, &used);
-    if (used != value.size()) throw std::invalid_argument(value);
-    return v;
-  } catch (const std::exception&) {
+    return util::parse_int(value);
+  } catch (const std::invalid_argument&) {
     throw std::invalid_argument("job " + job + ": " + key + "=" + value +
                                 " is not an integer");
   }
@@ -25,11 +23,8 @@ std::int64_t to_int(const std::string& job, const std::string& key,
 double to_double(const std::string& job, const std::string& key,
                  const std::string& value) {
   try {
-    std::size_t used = 0;
-    const double v = std::stod(value, &used);
-    if (used != value.size()) throw std::invalid_argument(value);
-    return v;
-  } catch (const std::exception&) {
+    return util::parse_double(value);
+  } catch (const std::invalid_argument&) {
     throw std::invalid_argument("job " + job + ": " + key + "=" + value +
                                 " is not a number");
   }

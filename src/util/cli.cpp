@@ -8,6 +8,26 @@
 
 namespace picprk::util {
 
+std::int64_t parse_int(const std::string& text) {
+  std::size_t used = 0;
+  try {
+    const std::int64_t value = std::stoll(text, &used);
+    if (used == text.size()) return value;
+  } catch (const std::exception&) {
+  }
+  throw std::invalid_argument("expected an integer, got '" + text + "'");
+}
+
+double parse_double(const std::string& text) {
+  std::size_t used = 0;
+  try {
+    const double value = std::stod(text, &used);
+    if (used == text.size()) return value;
+  } catch (const std::exception&) {
+  }
+  throw std::invalid_argument("expected a number, got '" + text + "'");
+}
+
 ArgParser::ArgParser(std::string program, std::string description)
     : program_(std::move(program)), description_(std::move(description)) {}
 
@@ -92,10 +112,10 @@ bool ArgParser::parse(int argc, const char* const* argv) {
             throw std::invalid_argument("flag must be true/false");
           break;
         case Kind::Int:
-          (void)std::stoll(*value);
+          (void)parse_int(*value);
           break;
         case Kind::Double:
-          (void)std::stod(*value);
+          (void)parse_double(*value);
           break;
         case Kind::String:
           break;
@@ -122,11 +142,11 @@ bool ArgParser::get_flag(const std::string& name) const {
 }
 
 std::int64_t ArgParser::get_int(const std::string& name) const {
-  return std::stoll(lookup(name, Kind::Int).value);
+  return parse_int(lookup(name, Kind::Int).value);
 }
 
 double ArgParser::get_double(const std::string& name) const {
-  return std::stod(lookup(name, Kind::Double).value);
+  return parse_double(lookup(name, Kind::Double).value);
 }
 
 std::string ArgParser::get_string(const std::string& name) const {

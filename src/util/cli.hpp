@@ -12,6 +12,13 @@
 
 namespace picprk::util {
 
+/// Whole-string numeric parsers: the entire text must be one number, so
+/// "1e5" is not an integer and "12abc" is not 12. Throw
+/// std::invalid_argument (also on overflow); callers that want their own
+/// error text catch it and rethrow.
+std::int64_t parse_int(const std::string& text);
+double parse_double(const std::string& text);
+
 class ArgParser {
  public:
   ArgParser(std::string program, std::string description);

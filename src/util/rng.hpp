@@ -28,10 +28,6 @@ class SplitMix64 {
     return z ^ (z >> 31);
   }
 
-  /// Uniform double in [0, 1).
-  // picprk-lint: suppress(reach: SplitMix64Test.DoublesInUnitInterval calls it)
-  double next_double() { return static_cast<double>(next() >> 11) * 0x1.0p-53; }
-
   /// Uniform integer in [0, bound) with Lemire's multiply-shift reduction
   /// (negligible bias for the bounds used here).
   std::uint64_t next_below(std::uint64_t bound) {

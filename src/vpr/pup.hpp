@@ -2,7 +2,7 @@
 // framework which the paper uses for VP migration ("the user can provide
 // appropriate packing/unpacking (PUP) routines. We opted for PUP because
 // it yields higher performance", §IV-C). A single pup() method describes
-// a type's state once and is used for sizing, packing and unpacking.
+// a type's state once and is used for packing and unpacking.
 #pragma once
 
 #include <cstddef>
@@ -18,23 +18,15 @@ namespace picprk::vpr {
 
 class Pup {
  public:
-  enum class Mode { Size, Pack, Unpack };
-
-  /// Sizing or packing pupper. In Pack mode call reserve_from_size()
-  /// first or let the buffer grow.
-  explicit Pup(Mode mode) : mode_(mode) {
-    PICPRK_EXPECTS(mode != Mode::Unpack);
-  }
+  /// Packing pupper; the buffer grows as values are pupped.
+  Pup() = default;
 
   /// Unpacking pupper over an existing buffer.
   explicit Pup(std::vector<std::byte> buffer)
-      : mode_(Mode::Unpack), buffer_(std::move(buffer)) {}
+      : unpacking_(true), buffer_(std::move(buffer)) {}
 
-  Mode mode() const { return mode_; }
-  bool packing() const { return mode_ == Mode::Pack; }
-  bool unpacking() const { return mode_ == Mode::Unpack; }
-  // picprk-lint: suppress(reach: read by PupTest.SizingModeWritesNothing)
-  bool sizing() const { return mode_ == Mode::Size; }
+  bool packing() const { return !unpacking_; }
+  bool unpacking() const { return unpacking_; }
 
   /// Scalar / trivially-copyable value.
   template <typename T>
@@ -78,9 +70,6 @@ class Pup {
     value.pup(*this);
   }
 
-  /// Bytes processed so far (== final size after a Size pass).
-  std::size_t bytes() const { return cursor_; }
-
   /// Takes the packed buffer (Pack mode, after pupping everything).
   std::vector<std::byte> take_buffer() {
     PICPRK_EXPECTS(packing());
@@ -92,23 +81,18 @@ class Pup {
 
  private:
   void raw(void* data, std::size_t n) {
-    switch (mode_) {
-      case Mode::Size:
-        break;
-      case Mode::Pack:
-        buffer_.resize(cursor_ + n);
-        std::memcpy(buffer_.data() + cursor_, data, n);
-        break;
-      case Mode::Unpack:
-        PICPRK_ASSERT_MSG(cursor_ + n <= buffer_.size(),
-                          "pup unpack ran past the end of the buffer");
-        std::memcpy(data, buffer_.data() + cursor_, n);
-        break;
+    if (packing()) {
+      buffer_.resize(cursor_ + n);
+      std::memcpy(buffer_.data() + cursor_, data, n);
+    } else {
+      PICPRK_ASSERT_MSG(cursor_ + n <= buffer_.size(),
+                        "pup unpack ran past the end of the buffer");
+      std::memcpy(data, buffer_.data() + cursor_, n);
     }
     cursor_ += n;
   }
 
-  Mode mode_;
+  bool unpacking_ = false;
   std::vector<std::byte> buffer_;
   std::size_t cursor_ = 0;
 };
@@ -116,18 +100,9 @@ class Pup {
 /// Packs a pupable object into a fresh buffer.
 template <typename T>
 std::vector<std::byte> pup_pack(T& object) {
-  Pup p(Pup::Mode::Pack);
+  Pup p;
   object.pup(p);
   return p.take_buffer();
-}
-
-/// Size a pupable object's packed representation.
-template <typename T>
-// picprk-lint: suppress(reach: PupTest.SizeMatchesPack checks the Size pass with it)
-std::size_t pup_size(T& object) {
-  Pup p(Pup::Mode::Size);
-  object.pup(p);
-  return p.bytes();
 }
 
 /// Unpacks a buffer into an existing object (must consume it fully).

@@ -122,14 +122,12 @@ TEST(Localized, AmpiVpDeathContinuesOnShrunkenWorkerSet) {
   // A VP kill takes its whole host worker down; the runtime retires the
   // worker, re-places its VPs through the balancer's degraded path and
   // continues on the survivors — replaying at most one superstep.
+  obs::Registry registry;
   auto cfg = small_config();
-  ft::FaultInjector injector(ft::FaultPlan::parse("kill:rank=3,step=21", 1));
-  ft::CheckpointStore store;
-  cfg.ft.injector = &injector;
-  cfg.ft.store = &store;
-  cfg.ft.checkpoint_every = 8;  // forced to cadence 1 by kLocal
+  cfg.obs.registry = &registry;
+  cfg.resilience.plan = ft::FaultPlan::parse("kill:rank=3,step=21", 1);
   cfg.resilience.recovery = par::RecoveryMode::kLocal;
-  cfg.resilience.checkpoint_every = 8;
+  cfg.resilience.checkpoint_every = 8;  // cadence 1 under kLocal
 
   cfg.workers = 2;
   cfg.overdecomposition = 3;
@@ -140,7 +138,8 @@ TEST(Localized, AmpiVpDeathContinuesOnShrunkenWorkerSet) {
   EXPECT_EQ(result.recoveries, 1u);
   EXPECT_EQ(result.localized_recoveries, 1u);
   EXPECT_LE(result.replayed_steps, 1u);
-  EXPECT_EQ(injector.kills(), 1u);
+  ASSERT_NE(registry.find_counter("ft/kills"), nullptr);
+  EXPECT_EQ(registry.find_counter("ft/kills")->value(), 1u);
 }
 
 /// Chaos soak: seeded 1% drop + 0.5% dup + 1% delay over a full run.

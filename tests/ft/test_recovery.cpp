@@ -8,6 +8,7 @@
 
 #include "comm/comm.hpp"
 #include "ft/fault.hpp"
+#include "obs/registry.hpp"
 #include "par/ampi.hpp"
 #include "par/block.hpp"
 #include "par/resilient.hpp"
@@ -81,13 +82,11 @@ TEST(Recovery, DiffusionSurvivesRankDeath) {
   EXPECT_EQ(result.recoveries, 1u);
 }
 
-/// ampi on 2 workers × d=3, VP 3 killed at step 21, checkpoints every 8.
-par::RunConfig ampi_kill_config(ft::FaultInjector& injector, ft::CheckpointStore& store) {
-  auto cfg = small_config();
-  cfg.ft.injector = &injector;
-  cfg.ft.store = &store;
-  cfg.ft.checkpoint_every = 8;
-
+/// ampi on 2 workers × d=3, VP 3 killed at step 21, checkpoints every 8,
+/// described by cfg.resilience alone.
+par::RunConfig ampi_kill_config() {
+  auto cfg = with_kill(small_config(), 3, 21);
+  cfg.resilience.timeout_ms = 0;  // ampi has no World to time out
   cfg.workers = 2;
   cfg.overdecomposition = 3;
   cfg.lb.every = 5;
@@ -95,24 +94,31 @@ par::RunConfig ampi_kill_config(ft::FaultInjector& injector, ft::CheckpointStore
 }
 
 TEST(Recovery, AmpiSurvivesVpDeath) {
-  ft::FaultInjector injector(ft::FaultPlan::parse("kill:rank=3,step=21", 1));
-  ft::CheckpointStore store;
-  const auto result = par::run_ampi(ampi_kill_config(injector, store));
+  obs::Registry registry;
+  auto cfg = ampi_kill_config();
+  cfg.obs.registry = &registry;
+  const auto result = par::run_ampi(cfg);
   EXPECT_TRUE(result.ok);
   EXPECT_EQ(result.verification.id_checksum, result.expected_id_checksum);
   EXPECT_EQ(result.recoveries, 1u);
-  EXPECT_EQ(injector.kills(), 1u);
+  ASSERT_NE(registry.find_counter("ft/kills"), nullptr);
+  EXPECT_EQ(registry.find_counter("ft/kills")->value(), 1u);
+  ASSERT_NE(registry.find_counter("ft/checkpoint_saves"), nullptr);
+  EXPECT_GT(registry.find_counter("ft/checkpoint_saves")->value(), 0u);
 }
 
 TEST(Recovery, AmpiHonoursMaxRecoveries) {
   // The VP rollback rung is capped by the same knob as run_resilient's:
   // with no rollbacks allowed the kill is rethrown, not repaired.
-  ft::FaultInjector injector(ft::FaultPlan::parse("kill:rank=3,step=21", 1));
-  ft::CheckpointStore store;
-  auto cfg = ampi_kill_config(injector, store);
+  auto cfg = ampi_kill_config();
   cfg.resilience.max_recoveries = 0;
-  EXPECT_THROW((void)par::run_ampi(cfg), ft::RankKilled);
-  EXPECT_EQ(injector.kills(), 1u);
+  try {
+    (void)par::run_ampi(cfg);
+    ADD_FAILURE() << "the kill was repaired despite max_recoveries = 0";
+  } catch (const ft::RankKilled& e) {
+    EXPECT_EQ(e.rank(), 3);
+    EXPECT_EQ(e.step(), 21u);
+  }
 }
 
 TEST(Recovery, UnrecoverableWithoutCheckpointsRethrows) {

@@ -15,6 +15,7 @@
 #include "obs/registry.hpp"
 #include "par/ampi.hpp"
 #include "par/async.hpp"
+#include "par/engine.hpp"
 #include "pic/simulation.hpp"
 
 namespace {
@@ -28,6 +29,13 @@ using picprk::pic::CellRegion;
 using picprk::pic::EventSchedule;
 using picprk::pic::InjectionEvent;
 using picprk::pic::RemovalEvent;
+
+/// The async engine as every entry point runs it: make_engine steps it
+/// through run_resilient.
+DriverResult run_async_engine(RunConfig cfg) {
+  cfg.impl = "async";
+  return picprk::par::make_engine(std::move(cfg))->run().result;
+}
 
 constexpr std::int64_t kCells = 24;
 constexpr std::uint64_t kParticles = 900;
@@ -105,7 +113,7 @@ TEST_P(AsyncMatrix, MatchesSerialBitForBit) {
   const auto [kind, events] = GetParam();
   const RunConfig cfg = async_config(kind, events);
   const Reference ref = serial_reference(cfg);
-  const DriverResult r = run_async(cfg);
+  const DriverResult r = run_async_engine(cfg);
   EXPECT_TRUE(r.ok) << "failures=" << r.verification.position_failures
                     << " checksum=" << r.verification.id_checksum << "/"
                     << r.expected_id_checksum;
@@ -119,7 +127,7 @@ TEST_P(AsyncMatrix, MatchesSerialBitForBit) {
 // 16 VPs either way — including LB migration effects on the tallies.
 TEST(Async, MatchesAmpiAtEqualDecomposition) {
   RunConfig cfg = async_config(1, /*events=*/false);
-  const DriverResult async_r = run_async(cfg);
+  const DriverResult async_r = run_async_engine(cfg);
 
   RunConfig ampi_cfg = cfg;
   ampi_cfg.workers = 4;  // workers * d == ranks * d == 16 VPs
@@ -161,7 +169,7 @@ TEST(Async, ZeroParticleRanksTerminate) {
   cfg.init.distribution = picprk::pic::Patch{CellRegion{0, 4, 0, 4}};
   cfg.lb.every = 0;  // no rebalancing: the empty ranks stay empty
   const Reference ref = serial_reference(cfg);
-  const DriverResult r = run_async(cfg);
+  const DriverResult r = run_async_engine(cfg);
   EXPECT_TRUE(r.ok);
   EXPECT_EQ(r.final_particles, ref.particles);
   EXPECT_EQ(r.verification.id_checksum, ref.checksum);
@@ -172,7 +180,7 @@ TEST(Async, ZeroParticleRanksTerminate) {
 TEST(Async, RejectsNonPlacementBalancer) {
   RunConfig cfg = async_config(0, false);
   cfg.lb.strategy = "rcb";  // bounds-only: no placement support
-  EXPECT_THROW(run_async(cfg), std::invalid_argument);
+  EXPECT_THROW(run_async_engine(cfg), std::invalid_argument);
 }
 
 // Overlap proof: with a registry attached, compute-phase deliveries
@@ -182,7 +190,7 @@ TEST(Async, RecordsOverlapTelemetry) {
   picprk::obs::Registry registry;
   RunConfig cfg = async_config(1, /*events=*/false);
   cfg.obs.registry = &registry;
-  const DriverResult r = run_async(cfg);
+  const DriverResult r = run_async_engine(cfg);
   ASSERT_TRUE(r.ok);
   std::uint64_t overlap = 0, drain = 0;
   for (const auto& c : registry.counters()) {

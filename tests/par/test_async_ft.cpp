@@ -12,7 +12,7 @@
 
 #include "comm/comm.hpp"
 #include "ft/fault.hpp"
-#include "par/async.hpp"
+#include "par/engine.hpp"
 #include "pic/simulation.hpp"
 
 namespace {
@@ -21,7 +21,13 @@ using picprk::comm::CommTimeout;
 using picprk::ft::FaultPlan;
 using picprk::par::DriverResult;
 using picprk::par::RunConfig;
-using picprk::par::run_async;
+
+/// The async engine as every entry point runs it: make_engine steps it
+/// through run_resilient.
+DriverResult run_async_engine(RunConfig cfg) {
+  cfg.impl = "async";
+  return picprk::par::make_engine(std::move(cfg))->run().result;
+}
 
 RunConfig faulted_config() {
   RunConfig cfg;
@@ -58,7 +64,7 @@ TEST(AsyncFt, DelayedMessagesVerifyWithoutTransport) {
   cfg.resilience.plan = FaultPlan::parse("delay:prob=0.5,ms=2", /*seed=*/71);
   cfg.resilience.timeout_ms = 20000;
   const std::uint64_t ref = serial_checksum(cfg);
-  const DriverResult r = run_async(cfg);
+  const DriverResult r = run_async_engine(cfg);
   EXPECT_TRUE(r.ok);
   EXPECT_EQ(r.verification.id_checksum, ref);
 }
@@ -72,7 +78,7 @@ TEST(AsyncFt, DroppedMessagesHealThroughReliableTransport) {
   cfg.resilience.rto_ms = 5;
   cfg.resilience.timeout_ms = 20000;
   const std::uint64_t ref = serial_checksum(cfg);
-  const DriverResult r = run_async(cfg);
+  const DriverResult r = run_async_engine(cfg);
   EXPECT_TRUE(r.ok);
   EXPECT_EQ(r.verification.id_checksum, ref);
 }
@@ -87,7 +93,7 @@ TEST(AsyncFt, DuplicatedMessagesDedupThroughReliableTransport) {
   cfg.resilience.rto_ms = 5;
   cfg.resilience.timeout_ms = 20000;
   const std::uint64_t ref = serial_checksum(cfg);
-  const DriverResult r = run_async(cfg);
+  const DriverResult r = run_async_engine(cfg);
   EXPECT_TRUE(r.ok);
   EXPECT_EQ(r.verification.id_checksum, ref);
 }
@@ -101,7 +107,7 @@ TEST(AsyncFt, MixedFaultScheduleVerifies) {
   cfg.resilience.rto_ms = 5;
   cfg.resilience.timeout_ms = 30000;
   const std::uint64_t ref = serial_checksum(cfg);
-  const DriverResult r = run_async(cfg);
+  const DriverResult r = run_async_engine(cfg);
   EXPECT_TRUE(r.ok);
   EXPECT_EQ(r.verification.id_checksum, ref);
 }
@@ -114,7 +120,7 @@ TEST(AsyncFt, TotalDropWithoutTransportTimesOut) {
   cfg.lb.every = 0;  // LB collectives would block before the drain does
   cfg.resilience.plan = FaultPlan::parse("drop:prob=1.0", /*seed=*/3);
   cfg.resilience.timeout_ms = 300;
-  EXPECT_THROW(run_async(cfg), CommTimeout);
+  EXPECT_THROW(run_async_engine(cfg), CommTimeout);
 }
 
 // Kill/stall faults and checkpointing belong to the sync drivers'
@@ -123,15 +129,15 @@ TEST(AsyncFt, TotalDropWithoutTransportTimesOut) {
 TEST(AsyncFt, KillAndStallAndCheckpointingAreRejected) {
   RunConfig kill = faulted_config();
   kill.resilience.plan = FaultPlan::parse("kill:rank=1,step=4", 1);
-  EXPECT_THROW(run_async(kill), std::invalid_argument);
+  EXPECT_THROW(run_async_engine(kill), std::invalid_argument);
 
   RunConfig stall = faulted_config();
   stall.resilience.plan = FaultPlan::parse("stall:rank=1,step=4,ms=10", 1);
-  EXPECT_THROW(run_async(stall), std::invalid_argument);
+  EXPECT_THROW(run_async_engine(stall), std::invalid_argument);
 
   RunConfig ckpt = faulted_config();
   ckpt.resilience.checkpoint_every = 8;
-  EXPECT_THROW(run_async(ckpt), std::invalid_argument);
+  EXPECT_THROW(run_async_engine(ckpt), std::invalid_argument);
 }
 
 }  // namespace

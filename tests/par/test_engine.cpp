@@ -124,4 +124,95 @@ TEST(Engine, ResilientRunCarriesFtTelemetry) {
   EXPECT_TRUE(has_key(line, "dup_dropped")) << line;
 }
 
+TEST(Engine, AsyncResilientRunCarriesFtTelemetry) {
+  // Async runs through run_resilient like the block drivers, so seeded
+  // message faults over the reliable transport report the same ladder
+  // telemetry: nothing to roll back, and the transport counters.
+  RunConfig cfg = small_config("async");
+  cfg.resilience.plan =
+      picprk::ft::FaultPlan::parse("dup:prob=0.2;delay:prob=0.2,ms=1", 7);
+  cfg.resilience.reliable = true;
+  cfg.resilience.timeout_ms = 10000;
+  const RunReport report = make_engine(cfg)->run();
+  EXPECT_TRUE(report.result.ok);
+  EXPECT_TRUE(report.ft_telemetry);
+  EXPECT_EQ(report.ft.recoveries, 0u);
+  EXPECT_GT(report.ft.duplicated + report.ft.delayed, 0u);
+  const std::string line = report.result_line();
+  for (const char* key : {"rollbacks", "retransmits", "dup_dropped"}) {
+    EXPECT_TRUE(has_key(line, key)) << key << ": " << line;
+  }
+}
+
+/// One knob each engine might silently ignore, and the engines that
+/// honour it; make_engine must refuse it for every other engine.
+struct KnobCase {
+  const char* knob;        ///< the name the rejection must carry
+  const char* accepted_by; ///< space-separated engine names
+  void (*set)(RunConfig&);
+};
+
+const KnobCase kKnobTable[] = {
+    {"--balancer", "diffusion ampi async",
+     [](RunConfig& c) { c.lb.strategy = "greedy"; }},
+    {"--faults drop", "baseline diffusion async",
+     [](RunConfig& c) { c.resilience.plan = picprk::ft::FaultPlan::parse("drop:prob=0.1", 1); }},
+    {"--faults dup", "baseline diffusion async",
+     [](RunConfig& c) { c.resilience.plan = picprk::ft::FaultPlan::parse("dup:prob=0.1", 1); }},
+    {"--faults delay", "baseline diffusion async",
+     [](RunConfig& c) {
+       c.resilience.plan = picprk::ft::FaultPlan::parse("delay:prob=0.1,ms=1", 1);
+     }},
+    {"--faults kill", "baseline diffusion ampi",
+     [](RunConfig& c) {
+       c.resilience.plan = picprk::ft::FaultPlan::parse("kill:rank=1,step=4", 1);
+     }},
+    {"--faults stall", "baseline diffusion ampi",
+     [](RunConfig& c) {
+       c.resilience.plan = picprk::ft::FaultPlan::parse("stall:rank=1,step=4,ms=5", 1);
+     }},
+    {"--faults stall", "baseline diffusion",
+     [](RunConfig& c) {
+       c.resilience.plan = picprk::ft::FaultPlan::parse("stall:rank=1,step=4,ms=inf", 1);
+     }},
+    {"--checkpoint-every", "baseline diffusion ampi",
+     [](RunConfig& c) { c.resilience.checkpoint_every = 4; }},
+    {"--checkpoint-every", "baseline diffusion ampi",
+     [](RunConfig& c) {
+       c.resilience.checkpoint_every = 4;
+       c.resilience.recovery = picprk::par::RecoveryMode::kLocal;
+     }},
+    {"--reliable", "baseline diffusion async",
+     [](RunConfig& c) { c.resilience.reliable = true; }},
+    {"--timeout-ms", "baseline diffusion async",
+     [](RunConfig& c) { c.resilience.timeout_ms = 1000; }},
+    {"--deadlock-ms", "baseline diffusion async",
+     [](RunConfig& c) { c.resilience.deadlock_ms = 1000; }},
+};
+
+TEST(Engine, EachEngineRejectsTheKnobsItWouldIgnore) {
+  for (const KnobCase& knob : kKnobTable) {
+    for (const std::string& impl : engine_names()) {
+      RunConfig cfg = small_config(impl);
+      cfg.lb.strategy.clear();
+      knob.set(cfg);
+      const bool accepted =
+          (' ' + std::string(knob.accepted_by) + ' ').find(' ' + impl + ' ') !=
+          std::string::npos;
+      if (accepted) {
+        EXPECT_NO_THROW((void)make_engine(cfg)) << impl << " " << knob.knob;
+        continue;
+      }
+      try {
+        (void)make_engine(cfg);
+        ADD_FAILURE() << impl << " accepted " << knob.knob;
+      } catch (const std::invalid_argument& e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find(impl), std::string::npos) << what;
+        EXPECT_NE(what.find(knob.knob), std::string::npos) << what;
+      }
+    }
+  }
+}
+
 }  // namespace

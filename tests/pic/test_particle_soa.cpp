@@ -80,15 +80,6 @@ TEST(ParticleSoA, SetOverwritesOneRow) {
   expect_equal(soa.get(3), make_particle(4));
 }
 
-TEST(ParticleSoA, SwapRemoveKeepsAllColumnsInLockstep) {
-  ParticleSoA soa = pic::to_soa(make_particles(6));
-  soa.swap_remove(1);  // row 6 moves into slot 1
-  ASSERT_EQ(soa.size(), 5u);
-  expect_equal(soa.get(1), make_particle(6));
-  expect_equal(soa.get(0), make_particle(1));
-  expect_equal(soa.get(4), make_particle(5));
-}
-
 TEST(ParticleSoA, MoveRowAndTruncateImplementStableCompaction) {
   // Drop the even ids the way the exchange compacts its untiled tail:
   // stable keeper compaction via move_rows + truncate.
@@ -136,9 +127,9 @@ TEST(ParticleSoA, PupRoundTripsThroughTheAosWireFormat) {
   // plain std::vector<Particle> pup produces — layout cannot leak into
   // the migration wire format.
   std::vector<Particle> wire = pic::to_aos(original);
-  vpr::Pup sizer(vpr::Pup::Mode::Size);
-  sizer(wire);
-  EXPECT_EQ(packed.size(), sizer.bytes());
+  vpr::Pup packer;
+  packer(wire);
+  EXPECT_EQ(packed, packer.take_buffer());
 
   ParticleSoA restored;
   vpr::pup_unpack(restored, std::move(packed));

@@ -14,7 +14,6 @@
 #include <string>
 #include <vector>
 
-#include "ft/checkpoint.hpp"
 #include "ft/fault.hpp"
 #include "par/ampi.hpp"
 #include "svc/job_table.hpp"
@@ -161,14 +160,10 @@ TEST(ServerTest, JobAndRunAmpiAgreeOnAKillDrill) {
   while (job.state() == JobState::kRunning) job.advance(5);
   ASSERT_EQ(job.state(), JobState::kDone) << job.failure();
 
-  picprk::ft::FaultInjector injector(
-      picprk::ft::FaultPlan::parse("kill:rank=1,step=10", 1));
-  picprk::ft::CheckpointStore store;
   picprk::par::RunConfig cfg = spec.run;
   cfg.workers = 1;
-  cfg.ft.injector = &injector;
-  cfg.ft.store = &store;
-  cfg.ft.checkpoint_every = 4;
+  cfg.resilience.plan = picprk::ft::FaultPlan::parse("kill:rank=1,step=10", 1);
+  cfg.resilience.checkpoint_every = 4;
   const picprk::par::DriverResult ampi = picprk::par::run_ampi(cfg);
 
   EXPECT_TRUE(ampi.ok);

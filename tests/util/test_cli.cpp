@@ -5,6 +5,8 @@
 namespace {
 
 using picprk::util::ArgParser;
+using picprk::util::parse_double;
+using picprk::util::parse_int;
 
 ArgParser make_parser() {
   ArgParser p("prog", "test program");
@@ -53,6 +55,34 @@ TEST(CliTest, BadIntValueThrows) {
   auto p = make_parser();
   const char* argv[] = {"prog", "--cells", "abc"};
   EXPECT_THROW(p.parse(3, argv), std::invalid_argument);
+}
+
+TEST(CliTest, TrailingGarbageIsRejected) {
+  // A bare std::stoll read "1e5" as 1 and "12abc" as 12.
+  for (const char* bad : {"1e5", "12abc", "3.5", ""}) {
+    auto p = make_parser();
+    const char* argv[] = {"prog", "--cells", bad};
+    EXPECT_THROW(p.parse(3, argv), std::invalid_argument) << bad;
+  }
+  for (const char* bad : {"0.5x", "1e", "nope"}) {
+    auto p = make_parser();
+    const char* argv[] = {"prog", "--r", bad};
+    EXPECT_THROW(p.parse(3, argv), std::invalid_argument) << bad;
+  }
+  auto p = make_parser();
+  const char* argv[] = {"prog", "--cells", "-12", "--r", "1e5"};
+  ASSERT_TRUE(p.parse(5, argv));
+  EXPECT_EQ(p.get_int("cells"), -12);
+  EXPECT_DOUBLE_EQ(p.get_double("r"), 1e5);
+}
+
+TEST(CliTest, WholeStringParsersThrowInvalidArgument) {
+  EXPECT_EQ(parse_int("42"), 42);
+  EXPECT_DOUBLE_EQ(parse_double("0.25"), 0.25);
+  EXPECT_THROW((void)parse_int("42 "), std::invalid_argument);
+  EXPECT_THROW((void)parse_int("99999999999999999999"), std::invalid_argument);
+  EXPECT_THROW((void)parse_double("1.5.2"), std::invalid_argument);
+  EXPECT_THROW((void)parse_double("1e999"), std::invalid_argument);
 }
 
 TEST(CliTest, MissingValueThrows) {

@@ -23,15 +23,6 @@ TEST(SplitMix64Test, DifferentSeedsDiverge) {
   EXPECT_EQ(same, 0);
 }
 
-TEST(SplitMix64Test, DoublesInUnitInterval) {
-  SplitMix64 rng(7);
-  for (int i = 0; i < 10000; ++i) {
-    const double d = rng.next_double();
-    EXPECT_GE(d, 0.0);
-    EXPECT_LT(d, 1.0);
-  }
-}
-
 TEST(SplitMix64Test, NextBelowRespectsBound) {
   SplitMix64 rng(9);
   for (int i = 0; i < 10000; ++i) EXPECT_LT(rng.next_below(17), 17u);

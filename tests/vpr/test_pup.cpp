@@ -9,7 +9,6 @@ namespace {
 
 using picprk::vpr::Pup;
 using picprk::vpr::pup_pack;
-using picprk::vpr::pup_size;
 using picprk::vpr::pup_unpack;
 
 struct Simple {
@@ -35,11 +34,6 @@ struct Nested {
     p(tag);
   }
 };
-
-TEST(PupTest, SizeMatchesPack) {
-  Simple s{7, 2.5, {1, 2, 3}, "hello"};
-  EXPECT_EQ(pup_size(s), pup_pack(s).size());
-}
 
 TEST(PupTest, RoundTripSimple) {
   Simple s{42, -1.25, {10, 20, 30, 40}, "pic-prk"};
@@ -99,7 +93,6 @@ TEST(PupTest, VectorOfPupablesRoundTrips) {
   ASSERT_EQ(out.items.size(), 2u);
   EXPECT_EQ(out.items[0].name, "one");
   EXPECT_EQ(out.items[1].v, (std::vector<std::uint64_t>{8, 7}));
-  EXPECT_EQ(pup_size(h), pup_pack(h).size());
 }
 
 TEST(PupTest, EmptyVectorOfPupables) {
@@ -108,14 +101,6 @@ TEST(PupTest, EmptyVectorOfPupables) {
   out.items.push_back(Simple{});
   pup_unpack(out, pup_pack(h));
   EXPECT_TRUE(out.items.empty());
-}
-
-TEST(PupTest, SizingModeWritesNothing) {
-  Simple s{3, 4.0, {7, 8}, "zz"};
-  Pup p(Pup::Mode::Size);
-  s.pup(p);
-  EXPECT_TRUE(p.sizing());
-  EXPECT_GT(p.bytes(), 0u);
 }
 
 }  // namespace

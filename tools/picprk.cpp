@@ -311,10 +311,10 @@ int main(int argc, char** argv) try {
     const lb::ParsedSpec spec =
         lb::parse_spec(spec_text.empty() ? "diffusion" : spec_text);
     if (auto it = spec.options.find("threshold"); it != spec.options.end()) {
-      dp.threshold = std::stod(it->second);
+      dp.threshold = util::parse_double(it->second);
     }
     if (auto it = spec.options.find("border"); it != spec.options.end()) {
-      dp.border_width = std::stol(it->second);
+      dp.border_width = util::parse_int(it->second);
     }
     const auto diff = engine.run_diffusion(cores, run, dp);
     perfsim::VprModelParams vp;
